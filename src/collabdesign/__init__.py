@@ -24,7 +24,6 @@ from .errors import (
     AllRowsDead,
     CollabDesignError,
     ConfigError,
-    DegenerateRows,
     NotDiagonal,
     NotSymmetric,
     RankDeficient,
@@ -42,7 +41,7 @@ from .experiments import (
     run_fig4,
     run_single_design,
 )
-from .linalg import EigenPairs, Projector, gram_schmidt_rows, polar_factor, projector_of, sym_eig
+from .linalg import EigenPairs, gram_schmidt_rows, polar_factor, row_basis, sym_eig
 from .metrics import (
     MetricsReport,
     active_link_ratio,
@@ -53,7 +52,6 @@ from .metrics import (
 )
 from .model import (
     DesignSpec,
-    NoiseModel,
     Omega,
     Penalty,
     SignalClass,
@@ -79,8 +77,7 @@ from .sparse import (
     gradient_l1,
     objective_l0,
     objective_l1,
-    recover_w_l0,
-    recover_w_l1,
+    recover_w,
     solve_gpower,
 )
 
@@ -89,18 +86,15 @@ __all__ = [
     "CollabDesignError",
     "CollaborationMatrix",
     "ConfigError",
-    "DegenerateRows",
     "DesignSpec",
     "DetectionResult",
     "EigenPairs",
     "ExperimentTable",
     "MetricsReport",
-    "NoiseModel",
     "NotDiagonal",
     "NotSymmetric",
     "Omega",
     "Penalty",
-    "Projector",
     "Provenance",
     "RankDeficient",
     "RunConfig",
@@ -134,14 +128,13 @@ __all__ = [
     "parse_config_text",
     "pd_closed_form",
     "polar_factor",
-    "projector_of",
     "random_baseline_prediction",
     "read_at_deactivation",
     "read_signals_csv",
-    "recover_w_l0",
-    "recover_w_l1",
+    "recover_w",
     "render_csv",
     "render_json",
+    "row_basis",
     "run_detect",
     "run_fig2",
     "run_fig3",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotDiagonal
-from .linalg import projector_of, sym_eig
+from .linalg import row_basis, sym_eig
 from .model import DesignSpec, Omega, Penalty, SignalClass
 
 
@@ -122,8 +122,7 @@ def check_stable_embedding(
         raise ValueError(f"delta must lie in (0,1), got {delta}")
     mat = np.atleast_2d(np.asarray(getattr(w, "W", w), dtype=float))
     m, n = mat.shape
-    p = projector_of(mat)
-    projected = signal_class.signals @ p.matrix.T
-    scaled = (n / m) * np.einsum("ij,ij->i", projected, projected)
+    coords = signal_class.signals @ row_basis(mat).T
+    scaled = (n / m) * np.einsum("ij,ij->i", coords, coords)
     energy = np.einsum("ij,ij->i", signal_class.signals, signal_class.signals)
     return ((1.0 - delta) * energy <= scaled) & (scaled <= (1.0 + delta) * energy)

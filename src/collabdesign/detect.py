@@ -13,7 +13,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .linalg import projector_of
+from .linalg import row_basis
 from .metrics import _weights
 from .model import SignalClass
 
@@ -63,11 +63,6 @@ class DetectionResult:
         }
 
 
-def _matched_direction(w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """P_w s, the mean of the matched statistic's observation-space template."""
-    return projector_of(w).apply(s)
-
-
 def pd_closed_form(w, s: np.ndarray, sigma: float, pfa: float) -> float:
     """Power of the matched test at false-alarm rate pfa.
 
@@ -78,8 +73,8 @@ def pd_closed_form(w, s: np.ndarray, sigma: float, pfa: float) -> float:
         raise ValueError(f"pfa must lie in (0, 1), got {pfa}")
     if not (sigma > 0.0):
         raise ValueError(f"sigma must be positive, got {sigma}")
-    p = _matched_direction(_weights(w), np.asarray(s, dtype=float))
-    d = float(np.linalg.norm(p)) / sigma
+    coords = row_basis(_weights(w)) @ np.asarray(s, dtype=float)
+    d = float(np.linalg.norm(coords)) / sigma
     return _q_tail(_q_tail_inv(pfa) - d)
 
 
@@ -107,7 +102,8 @@ def simulate_detection(
         raise ValueError(f"unknown threshold mode {threshold!r}")
     wm = np.asarray(_weights(w), dtype=float)
     s = np.asarray(signal_class.signals[signal_index], dtype=float)
-    p = _matched_direction(wm, s)
+    basis = row_basis(wm)
+    p = basis.T @ (basis @ s)
     scale = float(np.linalg.norm(p))
     d = scale / sigma
     closed = pd_closed_form(wm, s, sigma, pfa)
@@ -118,13 +114,13 @@ def simulate_detection(
     if scale == 0.0:
         detect_h1 = rng.random(per_hyp) < pfa
     else:
-        # T = c^T y with c = (W^+)^T s satisfies W^T c = P_w s, so the
-        # statistic has mean 0 / scale^2 and std sigma*scale under H0 / H1.
-        c = np.linalg.pinv(wm).T @ s
+        # T = p^T x with p = P_w s lies in the row span of W, so it is a
+        # function of y = W x; it has mean 0 / scale^2 and std sigma*scale
+        # under H0 / H1.
         noise = sigma * rng.standard_normal((per_hyp, n))
-        t_h0 = noise @ (wm.T @ c)
+        t_h0 = noise @ p
         noise = sigma * rng.standard_normal((per_hyp, n))
-        t_h1 = (s[None, :] + noise) @ (wm.T @ c)
+        t_h1 = (s[None, :] + noise) @ p
         if threshold == "analytic":
             tau = sigma * scale * _q_tail_inv(pfa)
         else:

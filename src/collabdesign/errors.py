@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class CollabDesignError(Exception):
@@ -31,7 +31,3 @@ class Unachievable(CollabDesignError):
 
 class ConfigError(CollabDesignError):
     """Run configuration is missing, malformed, or inconsistent."""
-
-
-class DegenerateRows(UserWarning):
-    """Zero rows were dropped before building a projector."""

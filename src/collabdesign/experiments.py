@@ -1,8 +1,7 @@
 """Config-driven reproduction of the reported experiments.
 
 Each run_* function maps a RunConfig to plot-ready rows. Work is split into
-independent per-seed cells that may execute concurrently; results are always
-aggregated in seed order, so output bytes do not depend on scheduling.
+independent per-seed cells, run and aggregated in seed order.
 
 Sweeps can request more combining rows than the class has signals (or fewer
 signals than rows). The Stiefel variable caps the solvable row count at
@@ -12,7 +11,6 @@ fraction implies. The per-solve target below compensates for those rows.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +24,7 @@ from .design import (
 )
 from .detect import simulate_detection
 from .errors import ConfigError
-from .linalg import sym_eig
-from .metrics import _weights, cost_of_collaboration, metrics_report
+from .metrics import _weights, cost_of_collaboration, cumulative_dc, metrics_report
 from .model import DesignSpec, Penalty, SignalClass, build_omega, generate_signal_class
 from .runconfig import RunConfig
 from .sparse import SparseSolution, calibrate_gamma, design_sparse
@@ -43,32 +40,6 @@ class ExperimentTable:
     columns: tuple[str, ...]
     rows: tuple[dict, ...]
     summary: dict
-
-
-def _over_seeds(fn, seeds, workers: int) -> list:
-    """Run fn(seed) for every seed, returning results in seed order."""
-    if workers <= 1 or len(seeds) <= 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, s) for s in seeds]
-        return [f.result() for f in futures]
-
-
-def span_cdc(w, signal_class: SignalClass) -> float:
-    """C-DC of the row span, robust to dead and linearly dependent rows.
-
-    Sweeps drive designs into degenerate corners (all-zero rows, near
-    parallel rows at extreme gamma) where the strict projector kernel
-    refuses to invert; the span itself stays well defined, so project onto
-    an SVD basis truncated at numerical rank instead.
-    """
-    m = np.asarray(_weights(w), dtype=float)
-    active = m[np.linalg.norm(m, axis=1) > 0.0]
-    if active.shape[0] == 0:
-        return 0.0
-    _, sv, vt = np.linalg.svd(active, full_matrices=False)
-    basis = vt[sv > 1e-12 * sv[0]]
-    return float(np.sum((signal_class.signals @ basis.T) ** 2))
 
 
 def effective_row_target(total_target: float, m_total: int, m_eff: int) -> float:
@@ -111,7 +82,7 @@ def run_fig2(config: RunConfig) -> ExperimentTable:
 
     def one_seed(seed: int) -> dict:
         cls = generate_signal_class(config.i, config.n, seed)
-        lam = sym_eig(build_omega(cls).matrix).values
+        lam = cls.spectrum
         cell: dict = {}
         cache: dict = {}
         for m in m_values:
@@ -124,12 +95,12 @@ def run_fig2(config: RunConfig) -> ExperimentTable:
                 if key not in cache:
                     spec = DesignSpec(N=config.n, M=m_eff, penalty=pen)
                     _, sol = calibrate_gamma(cls.signals, spec, block_target, pen)
-                    cache[key] = span_cdc(sol.W, cls)
+                    cache[key] = cumulative_dc(sol.W, cls)[0]
                 sparse_cdc[pen] = cache[key]
             draws = [
-                span_cdc(
+                cumulative_dc(
                     design_random(DesignSpec(N=config.n, M=m), seed=(seed, m, k)), cls
-                )
+                )[0]
                 for k in range(config.random_draws)
             ]
             cell[m] = (
@@ -141,7 +112,7 @@ def run_fig2(config: RunConfig) -> ExperimentTable:
             )
         return cell
 
-    cells = _over_seeds(one_seed, config.seeds, config.workers)
+    cells = [one_seed(s) for s in config.seeds]
     columns = ("M", "cdc_opt", "cdc_l0", "cdc_l1", "cdc_random", "cdc_random_prediction")
     rows = []
     for m in m_values:
@@ -172,15 +143,15 @@ def run_fig3(config: RunConfig) -> ExperimentTable:
             cls = generate_signal_class(i_val, config.n, seed)
             energy = cls.energy
             w_opt = design_cost_free(build_omega(cls), config.m)
-            cu_opt = min(span_cdc(w_opt, cls) / energy, 1.0)
+            cu_opt = min(cumulative_dc(w_opt, cls)[0] / energy, 1.0)
             cu_pen = {}
             for pen in _SPARSE_PENALTIES:
                 _, sol = calibrated_sparse_design(cls, config.m, pen, target)
-                cu_pen[pen] = min(span_cdc(sol.W, cls) / energy, 1.0)
+                cu_pen[pen] = min(cumulative_dc(sol.W, cls)[0] / energy, 1.0)
             cell[i_val] = (cu_opt, cu_pen[Penalty.L0], cu_pen[Penalty.L1])
         return cell
 
-    cells = _over_seeds(one_seed, config.seeds, config.workers)
+    cells = [one_seed(s) for s in config.seeds]
     columns = ("I", "cu_opt", "cu_l0", "cu_l1")
     rows = []
     for i_val in i_values:
@@ -253,8 +224,7 @@ def run_fig4(config: RunConfig) -> ExperimentTable:
 
     def one_seed(seed: int) -> dict:
         cls = generate_signal_class(config.i, config.n, seed)
-        lam = sym_eig(build_omega(cls).matrix).values
-        opt = float(np.sum(lam[: min(config.m, config.i)]))
+        opt = float(np.sum(cls.spectrum[: min(config.m, config.i)]))
         out = {}
         for pen in _SPARSE_PENALTIES:
             grid = penalty_gamma_grid(cls.signals, pen, config.grid_points)
@@ -265,16 +235,15 @@ def run_fig4(config: RunConfig) -> ExperimentTable:
             for k, g in enumerate(grid):
                 spec = DesignSpec(N=config.n, M=m_eff, gammas=g, penalty=pen)
                 sol = design_sparse(cls.signals, spec, allow_all_dead=True)
-                z = sol.raw_scores
-                deact[k] = 1.0 - np.count_nonzero(z) / z.size
-                native[k] = _penalty_merit(z, pen)
-                span[k] = span_cdc(sol.W, cls) / opt
+                deact[k] = sol.deactivated_ratio
+                native[k] = _penalty_merit(sol.raw_scores, pen)
+                span[k] = cumulative_dc(sol.W, cls)[0] / opt
             if native[0] <= 0.0:
                 raise ValueError("degenerate class: zero merit at gamma = 0")
             out[pen] = (grid, deact, native / native[0], span)
         return out
 
-    cells = _over_seeds(one_seed, config.seeds, config.workers)
+    cells = [one_seed(s) for s in config.seeds]
     columns = (
         "penalty",
         "grid_index",
@@ -407,7 +376,7 @@ def run_detect(config: RunConfig) -> ExperimentTable:
             rows.append({"seed": seed, **result.as_dict()})
         return rows
 
-    cells = _over_seeds(one_seed, config.seeds, config.workers)
+    cells = [one_seed(s) for s in config.seeds]
     rows = [row for cell in cells for row in cell]
     columns = (
         "seed",

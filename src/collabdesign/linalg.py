@@ -2,16 +2,15 @@
 
 Symmetric eigendecomposition with deterministic ordering, the polar factor
 (the Stiefel-manifold projection step of the generalized power method),
-row-space projectors, and Gram-Schmidt row orthonormalization.
+an orthonormal basis of a row space, and Gram-Schmidt row orthonormalization.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRows, NotSymmetric, RankDeficient
+from .errors import NotSymmetric, RankDeficient
 
 # Relative eigenvalue gap below which two eigenvalues count as tied.
 TIE_TOL = 1e-10
@@ -31,17 +30,6 @@ class EigenPairs:
     def top(self, m: int) -> np.ndarray:
         """Return the leading m eigenvectors as columns (N x m)."""
         return self.vectors[:, :m]
-
-
-@dataclass(frozen=True)
-class Projector:
-    """Orthogonal projector onto the row space of a collaboration matrix."""
-
-    matrix: np.ndarray
-    rank: int
-
-    def apply(self, s: np.ndarray) -> np.ndarray:
-        return self.matrix @ s
 
 
 def _canonicalize_columns(vectors: np.ndarray) -> np.ndarray:
@@ -114,35 +102,21 @@ def polar_factor(g: np.ndarray) -> np.ndarray:
     return p @ qt
 
 
-def projector_of(w: np.ndarray) -> Projector:
-    """Orthogonal projector onto the row space of W.
+def row_basis(w: np.ndarray) -> np.ndarray:
+    """Orthonormal basis B (r x N) of the row span of W, at numerical rank.
 
-    Zero rows (fully deactivated sensors) are dropped with a DegenerateRows
-    warning rather than failing; an all-zero W yields the zero projector.
-
-    Raises
-    ------
-    RankDeficient
-        If the surviving rows are linearly dependent beyond tolerance.
+    Zero rows (fully deactivated sensors) contribute nothing and are
+    dropped; dependent rows collapse onto their span, keeping the right
+    singular vectors whose singular value exceeds 1e-12 times the largest.
+    An all-zero W yields a 0 x N basis. The projection of s onto the row
+    span is P_w s = B^T (B s), and ||P_w s||^2 = ||B s||^2.
     """
     w = np.atleast_2d(np.asarray(w, dtype=float))
-    scale = float(np.abs(w).max()) if w.size else 0.0
-    if scale == 0.0:
-        warnings.warn("all rows are zero; projector is zero", DegenerateRows)
-        return Projector(matrix=np.zeros((w.shape[1], w.shape[1])), rank=0)
-    alive = np.abs(w).max(axis=1) > 0.0
-    if not alive.all():
-        warnings.warn(
-            f"dropped {int((~alive).sum())} zero row(s) before inversion",
-            DegenerateRows,
-        )
-    ws = w[alive]
-    _, sv, vt = np.linalg.svd(ws, full_matrices=False)
-    if sv[-1] < 1e-10 * sv[0]:
-        raise RankDeficient("surviving rows are linearly dependent")
-    v = vt[: ws.shape[0]].T
-    p = v @ v.T
-    return Projector(matrix=0.5 * (p + p.T), rank=ws.shape[0])
+    alive = w[np.abs(w).max(axis=1) > 0.0]
+    if alive.shape[0] == 0:
+        return np.zeros((0, w.shape[1]))
+    _, sv, vt = np.linalg.svd(alive, full_matrices=False)
+    return vt[sv > 1e-12 * sv[0]]
 
 
 def gram_schmidt_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +124,7 @@ def gram_schmidt_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     R is M x M triangular with positive diagonal (row i of W is a
     combination of the first i orthonormal rows), so that
-    W = R W_ort and projector_of(W) equals W_ort^T W_ort.
+    W = R W_ort and W_ort is an orthonormal basis of the row span of W.
 
     Raises
     ------

@@ -1,10 +1,13 @@
 """Performance and cost metrics for collaboration designs.
 
 The central quantity is the cumulative deflection coefficient
-C-DC = sum_i s_i^T W^T (W W^T)^{-1} W s_i, the summed squared norms of the
-signals after projection onto the row space of W. Cost of universality
-normalizes it by the per-signal-optimal total sum_i ||s_i||^2, and cost of
-collaboration is the total penalty weight sum_i |gamma_i|.
+C-DC = sum_i ||P_w s_i||^2, the summed squared norms of the signals after
+orthogonal projection onto the row span of W. When W has full row rank this
+equals sum_i s_i^T W^T (W W^T)^{-1} W s_i. Zero rows and rows that depend
+on the others do not change the span, so they do not change the C-DC.
+Cost of universality normalizes it by the per-signal-optimal total
+sum_i ||s_i||^2, and cost of collaboration is the total penalty weight
+sum_i |gamma_i|.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroSignalClass
-from .linalg import projector_of, sym_eig
+from .linalg import row_basis
 from .model import DesignSpec, SignalClass
 
 
@@ -50,10 +53,8 @@ class MetricsReport:
 
 def cumulative_dc(w, signal_class: SignalClass) -> tuple[float, np.ndarray]:
     """C-DC and the per-signal deflection coefficients ||P_w s_i||^2."""
-    p = projector_of(_weights(w))
-    projected = signal_class.signals @ p.matrix.T
-    per_signal = np.einsum("ij,ij->i", projected, projected)
-    per_signal = np.maximum(per_signal, 0.0)
+    coords = signal_class.signals @ row_basis(_weights(w)).T
+    per_signal = np.einsum("ij,ij->i", coords, coords)
     return float(per_signal.sum()), per_signal
 
 
@@ -71,19 +72,15 @@ def cost_of_collaboration(spec: DesignSpec) -> float:
     return float(np.sum(np.abs(spec.gammas)))
 
 
-def active_link_ratio(w, zero_tol: float | None = None) -> float:
-    """Fraction of entries of W whose magnitude exceeds zero_tol.
+def active_link_ratio(w) -> float:
+    """Fraction of entries of W that are nonzero.
 
-    The percentage of deactivated links is 1 minus this value. By default
-    zero_tol is 1e-8 times the largest entry magnitude, so that entries that
-    are zero only up to solver tolerance still count as deactivated.
+    The percentage of deactivated links is 1 minus this value; a link is
+    deactivated exactly when its entry is zero, as the sparse recoveries
+    write it.
     """
     mat = _weights(w)
-    if zero_tol is None:
-        zero_tol = 1e-8 * float(np.abs(mat).max())
-    elif zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
-    return float(np.count_nonzero(np.abs(mat) > zero_tol)) / mat.size
+    return float(np.count_nonzero(mat)) / mat.size
 
 
 def metrics_report(w, signal_class: SignalClass, spec: DesignSpec) -> MetricsReport:
@@ -95,9 +92,7 @@ def metrics_report(w, signal_class: SignalClass, spec: DesignSpec) -> MetricsRep
     mat = _weights(w)
     cdc, per_signal = cumulative_dc(mat, signal_class)
     upper = signal_class.energy
-    omega = signal_class.signals.T @ signal_class.signals
-    values = sym_eig(0.5 * (omega + omega.T)).values
-    cdc_opt = float(np.sum(values[: mat.shape[0]]))
+    cdc_opt = float(np.sum(signal_class.spectrum[: mat.shape[0]]))
     return MetricsReport(
         cdc=cdc,
         per_signal_dc=per_signal,

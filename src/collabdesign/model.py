@@ -1,9 +1,10 @@
-"""Domain types: signal classes, problem dimensions, noise, and Omega.
+"""Domain types: signal classes, problem dimensions, and Omega.
 
 The detection problem observes x = s + n (signal present) or x = n
 (noise only), where s is one of I known deterministic signals collected
 row-wise in an I x N matrix S. Omega = S^T S = sum_i s_i s_i^T drives
-every design procedure in the package.
+every design procedure in the package; its nonzero eigenvalues are those
+of the I x I Gram matrix S S^T, the squared singular values of S.
 """
 from __future__ import annotations
 
@@ -13,8 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import sym_eig
-
-RANK_TOL = 1e-10
 
 
 class Penalty(enum.Enum):
@@ -52,13 +51,21 @@ class SignalClass:
         """Sum of squared signal norms, the Cauchy-Schwarz ceiling on C-DC."""
         return float(np.sum(self.signals * self.signals))
 
+    @property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of the I x I matrix S S^T, descending.
+
+        S S^T and Omega = S^T S share every nonzero eigenvalue, so the sum
+        of the first M entries is the cost-free optimum C-DC for any M.
+        """
+        return sym_eig(self.signals @ self.signals.T).values
+
 
 @dataclass(frozen=True)
 class Omega:
     """Symmetric positive-semidefinite N x N matrix sum_i s_i s_i^T."""
 
     matrix: np.ndarray
-    rank_estimate: int
 
     def __post_init__(self) -> None:
         a = np.asarray(self.matrix, dtype=float)
@@ -70,17 +77,6 @@ class Omega:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Additive white Gaussian noise with standard deviation sigma."""
-
-    sigma: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -128,11 +124,7 @@ def generate_signal_class(I: int, N: int, seed) -> SignalClass:
 
 
 def build_omega(signal_class: SignalClass) -> Omega:
-    """Form Omega = S^T S, symmetrized, with its numerical rank."""
+    """Form Omega = S^T S, symmetrized."""
     s = signal_class.signals
     omega = s.T @ s
-    omega = 0.5 * (omega + omega.T)
-    values = sym_eig(omega).values
-    lam_max = float(values[0]) if values.size else 0.0
-    rank = int(np.sum(values > RANK_TOL * max(lam_max, 0.0))) if lam_max > 0 else 0
-    return Omega(matrix=omega, rank_estimate=rank)
+    return Omega(matrix=0.5 * (omega + omega.T))

@@ -7,7 +7,6 @@ ranges ("0..49").
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -18,10 +17,6 @@ _EXPERIMENT_ALIASES = {"singledesign": "design", "single_design": "design"}
 METHODS = ("pca", "l0", "l1", "random", "diagonal")
 
 _FIGURE_DEFAULT_SEEDS = tuple(range(50))
-
-
-def _default_workers() -> int:
-    return min(8, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -47,7 +42,6 @@ class RunConfig:
     i_values: tuple[int, ...] | None = None
     grid_points: int = 200
     random_draws: int = 1
-    workers: int = 0
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -55,8 +49,6 @@ class RunConfig:
         if not self.seeds:
             seeds = _FIGURE_DEFAULT_SEEDS if self.experiment.startswith("fig") else (0,)
             object.__setattr__(self, "seeds", seeds)
-        if self.workers < 1:
-            object.__setattr__(self, "workers", _default_workers())
         if not (1 <= self.m <= self.n):
             raise ConfigError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
         if self.signals is None and not (1 <= self.i <= self.n):
@@ -133,7 +125,7 @@ def _parse_value(key: str, text: str):
     text = text.strip()
     if key in ("seeds", "m_values", "i_values"):
         return _parse_int_list(text, key)
-    if key in ("n", "m", "i", "trials", "signal_index", "grid_points", "random_draws", "workers"):
+    if key in ("n", "m", "i", "trials", "signal_index", "grid_points", "random_draws"):
         try:
             return int(text)
         except ValueError as exc:

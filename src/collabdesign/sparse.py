@@ -120,20 +120,15 @@ _GRADIENTS = {Penalty.L1: gradient_l1, Penalty.L0: gradient_l0}
 
 
 def _pca_init(A: np.ndarray, M: int) -> np.ndarray:
-    """Warm start at the cost-free optimum: polar factor of A V0.
+    """Warm start at the cost-free optimum: the M leading eigenvectors of A A^T.
 
-    V0 holds the M leading eigenvectors of Omega = A^T A; at gamma = 0 this
-    U is already a fixed point of the iteration. Falls back to a
-    deterministic eigenbasis of A A^T when A V0 is rank-deficient.
+    With A = P Sigma Q^T and V0 the M leading eigenvectors of
+    Omega = A^T A, A V0 = P_M Sigma_M, so the polar factor of A V0 is P_M:
+    the leading eigenvectors of the I x I matrix A A^T, up to column signs.
+    At gamma = 0 this U is already a fixed point of the iteration, and no
+    N x N matrix is formed.
     """
-    omega = A.T @ A
-    v0 = sym_eig(0.5 * (omega + omega.T)).top(M)
-    g = A @ v0
-    try:
-        return polar_factor(g)
-    except RankDeficient:
-        gram = A @ A.T
-        return sym_eig(0.5 * (gram + gram.T)).top(M)
+    return sym_eig(A @ A.T).top(M)
 
 
 def initial_u(A: np.ndarray, M: int, init: str = "pca", seed=None) -> np.ndarray:
@@ -251,11 +246,14 @@ def _build_solution(
     )
 
 
-def recover_w_l1(U, A: np.ndarray, gammas, y_diag) -> SparseSolution:
-    """Closed-form inner maximizer for the l1 penalty.
+def recover_w(U, A: np.ndarray, gammas, y_diag, penalty: Penalty) -> SparseSolution:
+    """Closed-form inner maximizer: threshold the scores, then unit rows.
 
-    z_ij = sign(a_j^T u_i) max(0, y_i |a_j^T u_i| - gamma_i), then each
-    nonzero row is scaled to unit norm; rows that vanish entirely are dead.
+    l1 soft-thresholds, z_ij = sign(a_j^T u_i) max(0, y_i |a_j^T u_i| - gamma_i);
+    l0 hard-thresholds, z_ij = (a_j^T u_i) when (y_i a_j^T u_i)^2 exceeds
+    gamma_i, else 0 (strict inequality, so boundary ties deactivate the
+    link). Each nonzero row is scaled to unit norm; rows that vanish
+    entirely are dead.
     """
     state = U if isinstance(U, SolverState) else SolverState(
         U=np.asarray(U, dtype=float), objective_trace=[0.0], iterations=0, converged=True
@@ -263,24 +261,7 @@ def recover_w_l1(U, A: np.ndarray, gammas, y_diag) -> SparseSolution:
     m = state.U.shape[1]
     spec = DesignSpec(
         N=np.asarray(A).shape[1], M=m, gammas=np.asarray(gammas, dtype=float) * np.ones(m),
-        penalty=Penalty.L1, y_diag=np.asarray(y_diag, dtype=float) * np.ones(m),
-    )
-    return _build_solution(state, A, spec)
-
-
-def recover_w_l0(U, A: np.ndarray, gammas, y_diag) -> SparseSolution:
-    """Hard-threshold recovery for the l0 penalty.
-
-    z_ij = (a_j^T u_i) when (y_i a_j^T u_i)^2 exceeds gamma_i, else 0;
-    strict inequality, so boundary ties deactivate the link.
-    """
-    state = U if isinstance(U, SolverState) else SolverState(
-        U=np.asarray(U, dtype=float), objective_trace=[0.0], iterations=0, converged=True
-    )
-    m = state.U.shape[1]
-    spec = DesignSpec(
-        N=np.asarray(A).shape[1], M=m, gammas=np.asarray(gammas, dtype=float) * np.ones(m),
-        penalty=Penalty.L0, y_diag=np.asarray(y_diag, dtype=float) * np.ones(m),
+        penalty=penalty, y_diag=np.asarray(y_diag, dtype=float) * np.ones(m),
     )
     return _build_solution(state, A, spec)
 

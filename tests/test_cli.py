@@ -46,7 +46,6 @@ m = 3
 i = 3
 trials = 200
 seeds = 0,1
-workers = 4
 """
 
 
@@ -158,18 +157,6 @@ class TestReproducibility:
                 assert main([verb, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
                 snapshots.append(dir_bytes(out))
             assert snapshots[0] == snapshots[1], f"{verb} rerun differed"
-
-    def test_worker_count_does_not_change_rows(self, tmp_path):
-        cfg_parallel = tmp_path / "p.cfg"
-        cfg_parallel.write_text(TINY_DETECT)
-        cfg_serial = tmp_path / "s.cfg"
-        cfg_serial.write_text(TINY_DETECT.replace("workers = 4", "workers = 1"))
-        csvs = []
-        for tag, cfg in (("p", cfg_parallel), ("s", cfg_serial)):
-            out = tmp_path / f"det_{tag}"
-            assert main(["detect", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-            csvs.append((out / "detect.csv").read_bytes())
-        assert csvs[0] == csvs[1]
 
 
 class TestExitCodes:

@@ -17,7 +17,7 @@ from collabdesign import (
     generate_signal_class,
     random_baseline_prediction,
 )
-from collabdesign.linalg import projector_of
+from collabdesign.linalg import row_basis
 from conftest import random_orthonormal_rows
 
 # P(1/6 <= B <= 1/2) for B ~ Beta(5, 10): the exact fraction of unit vectors
@@ -29,15 +29,15 @@ EMBED_WINDOW_PROB = 0.8412421383738714
 
 def diag_omega(entries):
     d = np.asarray(entries, dtype=float)
-    return Omega(matrix=np.diag(d), rank_estimate=int(np.count_nonzero(d)))
+    return Omega(matrix=np.diag(d))
 
 
 class TestDesignCostFree:
     def test_diagonal_spectrum(self):
         w = design_cost_free(diag_omega([3.0, 2.0, 1.0]), 2)
         assert w.provenance is Provenance.PCA
-        p = projector_of(w.W).matrix
-        assert np.allclose(p, np.diag([1.0, 1.0, 0.0]), atol=1e-10)
+        b = row_basis(w.W)
+        assert np.allclose(b.T @ b, np.diag([1.0, 1.0, 0.0]), atol=1e-10)
         cls = SignalClass(signals=np.diag([np.sqrt(3.0), np.sqrt(2.0), 1.0]))
         cdc, _ = cumulative_dc(w, cls)
         assert cdc == pytest.approx(5.0, rel=1e-12)
@@ -45,16 +45,14 @@ class TestDesignCostFree:
     def test_two_signal_eigen_oracle(self):
         cls = SignalClass(signals=np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
         omega_m = cls.signals.T @ cls.signals
-        w = design_cost_free(Omega(matrix=omega_m, rank_estimate=2), 1)
+        w = design_cost_free(Omega(matrix=omega_m), 1)
         cdc, _ = cumulative_dc(w, cls)
         assert cdc == pytest.approx((3.0 + np.sqrt(5.0)) / 2.0, rel=1e-12)
 
     def test_single_signal(self, rng):
         s = rng.standard_normal(7)
         cls = SignalClass(signals=s[None, :])
-        w = design_cost_free(
-            Omega(matrix=np.outer(s, s), rank_estimate=1), 1
-        )
+        w = design_cost_free(Omega(matrix=np.outer(s, s)), 1)
         assert np.allclose(np.abs(w.W[0]), np.abs(s) / np.linalg.norm(s), atol=1e-12)
         cdc, _ = cumulative_dc(w, cls)
         assert cdc == pytest.approx(float(s @ s), rel=1e-12)
@@ -65,7 +63,7 @@ class TestDesignCostFree:
             omega_m = cls.signals.T @ cls.signals
             lam = np.sort(np.linalg.eigvalsh(omega_m))[::-1]
             for m in (1, 3, 5):
-                w = design_cost_free(Omega(matrix=omega_m, rank_estimate=5), m)
+                w = design_cost_free(Omega(matrix=omega_m), m)
                 cdc, _ = cumulative_dc(w, cls)
                 want = float(np.sum(lam[:m]))
                 assert cdc == pytest.approx(want, rel=1e-8)
@@ -73,7 +71,7 @@ class TestDesignCostFree:
     def test_never_beaten_by_sampled_stiefel(self, rng):
         cls = SignalClass(signals=rng.standard_normal((4, 8)))
         omega_m = cls.signals.T @ cls.signals
-        w = design_cost_free(Omega(matrix=omega_m, rank_estimate=4), 2)
+        w = design_cost_free(Omega(matrix=omega_m), 2)
         best, _ = cumulative_dc(w, cls)
         for _ in range(300):
             cand = random_orthonormal_rows(rng, 2, 8)
@@ -84,7 +82,7 @@ class TestDesignCostFree:
         cls = SignalClass(signals=rng.standard_normal((6, 10)))
         omega_m = cls.signals.T @ cls.signals
         lam = np.sort(np.linalg.eigvalsh(omega_m))[::-1]
-        omega = Omega(matrix=omega_m, rank_estimate=6)
+        omega = Omega(matrix=omega_m)
         prev = 0.0
         for m in range(1, 8):
             cdc, _ = cumulative_dc(design_cost_free(omega, m), cls)
@@ -132,7 +130,7 @@ class TestDiagonalShortcut:
         assert cdc == pytest.approx(2.0)
 
     def test_rejects_off_diagonal_mass(self):
-        omega = Omega(matrix=np.array([[1.0, 0.5], [0.5, 1.0]]), rank_estimate=2)
+        omega = Omega(matrix=np.array([[1.0, 0.5], [0.5, 1.0]]))
         with pytest.raises(NotDiagonal):
             design_diagonal_shortcut(omega, 1)
 
@@ -164,8 +162,8 @@ class TestDesignRandom:
     def test_square_full_rank_is_lossless(self, rng):
         spec = DesignSpec(N=5, M=5)
         w = design_random(spec, seed=3)
-        p = projector_of(w.W).matrix
-        assert np.linalg.norm(p - np.eye(5)) <= 1e-8
+        b = row_basis(w.W)
+        assert np.linalg.norm(b.T @ b - np.eye(5)) <= 1e-8
         cls = SignalClass(signals=rng.standard_normal((4, 5)))
         cdc, _ = cumulative_dc(w, cls)
         assert cdc == pytest.approx(cls.energy, rel=1e-9)

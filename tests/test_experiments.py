@@ -26,7 +26,6 @@ from collabdesign.experiments import (
     run_fig3,
     run_fig4,
     run_single_design,
-    span_cdc,
 )
 
 
@@ -74,23 +73,31 @@ class TestSpanCdc:
     def test_matches_projector_on_full_rank_rows(self, rng):
         w = rng.standard_normal((3, 6))
         cls = SignalClass(signals=rng.standard_normal((4, 6)))
-        assert span_cdc(w, cls) == pytest.approx(cumulative_dc(w, cls)[0], rel=1e-10)
+        p = w.T @ np.linalg.solve(w @ w.T, w)
+        want = float(np.sum((cls.signals @ p) ** 2))
+        assert cumulative_dc(w, cls)[0] == pytest.approx(want, rel=1e-10)
 
     def test_ignores_dead_rows(self, rng):
         cls = SignalClass(signals=rng.standard_normal((4, 6)))
         w = rng.standard_normal((2, 6))
         padded = np.vstack([w, np.zeros((2, 6))])
-        assert span_cdc(padded, cls) == pytest.approx(span_cdc(w, cls), rel=1e-12)
+        assert cumulative_dc(padded, cls)[0] == pytest.approx(
+            cumulative_dc(w, cls)[0], rel=1e-12
+        )
 
     def test_duplicate_rows_do_not_raise(self, rng):
         cls = SignalClass(signals=rng.standard_normal((3, 5)))
         row = rng.standard_normal(5)
         w = np.vstack([row, 2.0 * row])
-        assert span_cdc(w, cls) == pytest.approx(span_cdc(row[None, :], cls), rel=1e-10)
+        assert cumulative_dc(w, cls)[0] == pytest.approx(
+            cumulative_dc(row[None, :], cls)[0], rel=1e-10
+        )
 
     def test_all_zero_matrix(self):
         cls = SignalClass(signals=np.eye(3))
-        assert span_cdc(np.zeros((2, 3)), cls) == 0.0
+        cdc, per_signal = cumulative_dc(np.zeros((2, 3)), cls)
+        assert cdc == 0.0
+        assert np.array_equal(per_signal, np.zeros(3))
 
 
 class TestGammaGrid:
@@ -264,16 +271,6 @@ class TestDesignArtifacts:
 
 
 class TestDetectRunner:
-    def test_worker_count_invariant_rows(self):
-        rows = []
-        for workers in (1, 4):
-            cfg = RunConfig(
-                experiment="detect", n=8, m=3, i=3, seeds=(0, 1), trials=200,
-                workers=workers,
-            )
-            rows.append(run_detect(cfg).rows)
-        assert rows[0] == rows[1]
-
     def test_one_row_per_seed_and_signal(self):
         cfg = RunConfig(experiment="detect", n=8, m=3, i=3, seeds=(0, 1), trials=200)
         table = run_detect(cfg)

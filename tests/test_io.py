@@ -178,9 +178,6 @@ class TestRunConfig:
         assert RunConfig(experiment="fig2").seeds == tuple(range(50))
         assert RunConfig(experiment="design").seeds == (0,)
 
-    def test_workers_default_positive(self):
-        assert RunConfig(experiment="design").workers >= 1
-
     def test_dimension_validation(self):
         with pytest.raises(ConfigError):
             RunConfig(experiment="design", n=4, m=5)

@@ -1,16 +1,16 @@
-"""Numeric kernels: eigendecomposition, polar factor, projector, Gram-Schmidt."""
+"""Numeric kernels: eigendecomposition, polar factor, row basis, Gram-Schmidt."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from collabdesign import (
-    DegenerateRows,
     NotSymmetric,
     RankDeficient,
     gram_schmidt_rows,
     polar_factor,
-    projector_of,
+    row_basis,
     sym_eig,
 )
 from conftest import random_orthonormal_rows, random_symmetric
@@ -107,62 +107,75 @@ class TestPolarFactor:
             polar_factor(np.zeros((4, 2)))
 
 
+def projector(w):
+    """P_w = B^T B from the orthonormal row basis B."""
+    b = row_basis(w)
+    return b.T @ b
+
+
 class TestProjectorOf:
     def test_identity_rows(self):
-        p = projector_of(np.eye(4))
-        assert np.allclose(p.matrix, np.eye(4), atol=1e-12)
-        assert p.rank == 4
+        b = row_basis(np.eye(4))
+        assert b.shape == (4, 4)
+        assert np.allclose(b.T @ b, np.eye(4), atol=1e-12)
 
     def test_single_unit_row(self):
-        p = projector_of(np.array([[1.0, 0.0, 0.0]]))
-        assert np.allclose(p.matrix, np.diag([1.0, 0.0, 0.0]), atol=1e-12)
-        assert p.rank == 1
+        b = row_basis(np.array([[1.0, 0.0, 0.0]]))
+        assert b.shape == (1, 3)
+        assert np.allclose(b.T @ b, np.diag([1.0, 0.0, 0.0]), atol=1e-12)
 
     def test_hand_projector(self):
-        p = projector_of(np.array([[1.0, 1.0, 0.0]]))
+        p = projector(np.array([[1.0, 1.0, 0.0]]))
         want = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
-        assert np.allclose(p.matrix, want, atol=1e-12)
+        assert np.allclose(p, want, atol=1e-12)
 
     def test_idempotent_symmetric_trace(self, rng):
         for _ in range(20):
             m, n = int(rng.integers(1, 5)), int(rng.integers(5, 9))
             w = rng.standard_normal((m, n))
-            p = projector_of(w)
-            assert np.allclose(p.matrix, p.matrix.T, atol=1e-10)
-            assert np.allclose(p.matrix @ p.matrix, p.matrix, atol=1e-9)
-            assert np.trace(p.matrix) == pytest.approx(p.rank, abs=1e-8)
+            b = row_basis(w)
+            assert b.shape == (m, n)
+            assert np.allclose(b @ b.T, np.eye(m), atol=1e-10)
+            p = b.T @ b
+            assert np.allclose(p, p.T, atol=1e-10)
+            assert np.allclose(p @ p, p, atol=1e-9)
+            assert np.trace(p) == pytest.approx(m, abs=1e-8)
 
-    def test_zero_rows_warn_and_drop(self):
+    def test_zero_rows_dropped_silently(self):
         w = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        with pytest.warns(DegenerateRows):
-            p = projector_of(w)
-        assert p.rank == 1
-        assert np.allclose(p.matrix, np.diag([1.0, 0.0, 0.0]), atol=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = row_basis(w)
+        assert b.shape == (1, 3)
+        assert np.allclose(b.T @ b, np.diag([1.0, 0.0, 0.0]), atol=1e-12)
 
     def test_all_zero_matrix(self):
-        with pytest.warns(DegenerateRows):
-            p = projector_of(np.zeros((2, 3)))
-        assert p.rank == 0
-        assert np.allclose(p.matrix, np.zeros((3, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = row_basis(np.zeros((2, 3)))
+        assert b.shape == (0, 3)
+        assert np.allclose(b.T @ b, np.zeros((3, 3)))
 
-    def test_dependent_rows_raise(self):
-        with pytest.raises(RankDeficient):
-            projector_of(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]))
+    def test_dependent_rows_have_rank_one(self):
+        b = row_basis(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]))
+        assert b.shape == (1, 3)
+        u = np.array([1.0, 2.0, 0.0]) / np.sqrt(5.0)
+        assert np.allclose(b.T @ b, np.outer(u, u), atol=1e-12)
 
     def test_row_mixing_invariance(self, rng):
         # P depends only on the row space: invariant to invertible row mixing
         for _ in range(10):
             w = rng.standard_normal((3, 7))
             mix = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
-            p1 = projector_of(w).matrix
-            p2 = projector_of(mix @ w).matrix
-            assert np.linalg.norm(p1 - p2) <= 1e-8
+            assert np.linalg.norm(projector(w) - projector(mix @ w)) <= 1e-8
 
     def test_apply_matches_matrix(self, rng):
+        # B^T (B s) is the full-rank projector W^T (W W^T)^{-1} W applied to s
         w = rng.standard_normal((2, 5))
-        p = projector_of(w)
+        b = row_basis(w)
         s = rng.standard_normal(5)
-        assert np.allclose(p.apply(s), p.matrix @ s, atol=1e-12)
+        want = w.T @ np.linalg.solve(w @ w.T, w @ s)
+        assert np.allclose(b.T @ (b @ s), want, atol=1e-12)
 
 
 class TestGramSchmidtRows:
@@ -188,9 +201,7 @@ class TestGramSchmidtRows:
             assert np.allclose(r, np.tril(r), atol=1e-12)
             assert np.all(np.diag(r) > 0)
             # same row space, so same projector
-            p1 = projector_of(w).matrix
-            p2 = projector_of(w_ort).matrix
-            assert np.linalg.norm(p1 - p2) <= 1e-8
+            assert np.linalg.norm(projector(w) - w_ort.T @ w_ort) <= 1e-8
 
     def test_dependent_rows_raise(self):
         with pytest.raises(RankDeficient):

@@ -114,7 +114,7 @@ class TestActiveLinkRatio:
 
     def test_dense(self, rng):
         w = rng.standard_normal((4, 6))
-        assert active_link_ratio(w, zero_tol=0.0) == 1.0
+        assert active_link_ratio(w) == 1.0
 
     def test_forty_percent_deactivated(self, rng):
         w = rng.standard_normal((10, 30))
@@ -122,10 +122,6 @@ class TestActiveLinkRatio:
         off = rng.choice(flat.size, size=120, replace=False)
         flat[off] = 0.0
         assert active_link_ratio(w) == pytest.approx(0.6)
-
-    def test_negative_tolerance_rejected(self, rng):
-        with pytest.raises(ValueError):
-            active_link_ratio(rng.standard_normal((2, 3)), zero_tol=-1.0)
 
 
 class TestMetricsReport:

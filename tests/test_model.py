@@ -1,10 +1,9 @@
-"""Domain model: signal classes, Omega, design specs, noise."""
+"""Domain model: signal classes, Omega, design specs."""
 import numpy as np
 import pytest
 
 from collabdesign import (
     DesignSpec,
-    NoiseModel,
     Omega,
     Penalty,
     SignalClass,
@@ -42,14 +41,13 @@ class TestBuildOmega:
         cls = SignalClass(signals=np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 0.0]]))
         omega = build_omega(cls)
         assert np.allclose(omega.matrix, [[5.0, 3.0, 0.0], [3.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
-        assert omega.rank_estimate == 2
         assert omega.dimension == 3
 
     def test_single_signal_rank_one(self):
         cls = SignalClass(signals=np.array([[1.0, 0.0, 0.0]]))
         omega = build_omega(cls)
         assert np.allclose(omega.matrix, np.diag([1.0, 0.0, 0.0]))
-        assert omega.rank_estimate == 1
+        assert np.allclose(cls.spectrum, [1.0])
 
     def test_trace_equals_energy(self, rng):
         for _ in range(10):
@@ -64,7 +62,19 @@ class TestBuildOmega:
     def test_rank_bounded_by_count_and_dimension(self, rng):
         for i_dim, n_dim in ((3, 8), (8, 3), (5, 5)):
             cls = SignalClass(signals=rng.standard_normal((i_dim, n_dim)))
-            assert build_omega(cls).rank_estimate <= min(i_dim, n_dim)
+            lam = cls.spectrum
+            assert lam.size == i_dim
+            assert int(np.sum(lam > 1e-10 * lam[0])) <= min(i_dim, n_dim)
+
+    def test_spectrum_is_the_nonzero_spectrum_of_omega(self, rng):
+        # S S^T (I x I) and Omega = S^T S (N x N) share their nonzero eigenvalues
+        for i_dim, n_dim in ((3, 8), (8, 3), (5, 5)):
+            cls = SignalClass(signals=rng.standard_normal((i_dim, n_dim)))
+            lam = np.sort(np.linalg.eigvalsh(build_omega(cls).matrix))[::-1]
+            k = min(i_dim, n_dim)
+            assert np.allclose(cls.spectrum[:k], lam[:k], rtol=1e-10, atol=1e-10)
+            assert np.allclose(cls.spectrum[k:], 0.0, atol=1e-10)
+            assert np.all(np.diff(cls.spectrum) <= 0.0)
 
     def test_eigenvalues_rotation_invariant(self, rng):
         # right-rotating every signal conjugates Omega, preserving its spectrum
@@ -77,7 +87,7 @@ class TestBuildOmega:
 
     def test_omega_validates_symmetry(self):
         with pytest.raises(ValueError):
-            Omega(matrix=np.array([[1.0, 2.0], [0.0, 1.0]]), rank_estimate=2)
+            Omega(matrix=np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestGenerateSignalClass:
@@ -133,14 +143,3 @@ class TestDesignSpec:
         assert Penalty("l0") is Penalty.L0
         assert Penalty("l1") is Penalty.L1
         assert Penalty("none") is Penalty.NONE
-
-
-class TestNoiseModel:
-    def test_default_unit_sigma(self):
-        assert NoiseModel().sigma == 1.0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            NoiseModel(sigma=0.0)
-        with pytest.raises(ValueError):
-            NoiseModel(sigma=-1.0)

@@ -17,8 +17,9 @@ from collabdesign import (
     gradient_l1,
     objective_l0,
     objective_l1,
-    recover_w_l0,
-    recover_w_l1,
+    metrics_report,
+    recover_w,
+    simulate_detection,
     solve_gpower,
 )
 from collabdesign.sparse import gamma_ceiling, initial_u
@@ -190,27 +191,27 @@ class TestSolveGpower:
 
 class TestRecovery:
     def test_l1_hand_instance(self):
-        sol = recover_w_l1(np.array([[1.0]]), np.array([[3.0, 1.0]]), 1.0, 1.0)
+        sol = recover_w(np.array([[1.0]]), np.array([[3.0, 1.0]]), 1.0, 1.0, Penalty.L1)
         assert np.allclose(sol.raw_scores, [[2.0, 0.0]])
         assert np.allclose(sol.W.W, [[1.0, 0.0]])
         assert sol.dead_rows == ()
 
     def test_l0_hand_instance(self):
-        sol = recover_w_l0(np.array([[1.0]]), np.array([[3.0, 1.0]]), 2.0, 1.0)
+        sol = recover_w(np.array([[1.0]]), np.array([[3.0, 1.0]]), 2.0, 1.0, Penalty.L0)
         assert np.allclose(sol.raw_scores, [[3.0, 0.0]])
         assert np.allclose(sol.W.W, [[1.0, 0.0]])
 
     def test_dead_row_reported(self):
         # second row couples only to the weak sensor, so gamma kills it
         a = np.array([[3.0, 0.0], [0.0, 0.1]])
-        sol = recover_w_l1(np.eye(2), a, 1.0, 1.0)
+        sol = recover_w(np.eye(2), a, 1.0, 1.0, Penalty.L1)
         assert sol.dead_rows == (1,)
         assert np.allclose(sol.W.W[1], 0.0)
         assert np.linalg.norm(sol.W.W[0]) == pytest.approx(1.0)
 
     def test_all_rows_dead_raises(self):
         with pytest.raises(AllRowsDead):
-            recover_w_l1(np.array([[1.0]]), np.array([[3.0, 1.0]]), 5.0, 1.0)
+            recover_w(np.array([[1.0]]), np.array([[3.0, 1.0]]), 5.0, 1.0, Penalty.L1)
 
     def test_unit_rows_and_dead_rows_zero(self, rng):
         cls = generate_signal_class(5, 11, 9)
@@ -265,12 +266,11 @@ class TestRecovery:
     def test_fixed_u_active_count_nonincreasing_in_gamma(self, penalty, rng):
         cls = generate_signal_class(5, 12, 6)
         u = random_orthonormal_rows(rng, 3, 5).T
-        recover = recover_w_l0 if penalty is Penalty.L0 else recover_w_l1
         ceiling = gamma_ceiling(cls.signals, penalty)
         counts = []
         for gamma in np.linspace(0.0, ceiling, 25):
             try:
-                sol = recover(u, cls.signals, float(gamma), 1.0)
+                sol = recover_w(u, cls.signals, float(gamma), 1.0, penalty)
                 counts.append(int(np.count_nonzero(sol.W.W)))
             except AllRowsDead:
                 counts.append(0)
@@ -338,3 +338,27 @@ class TestCalibrateGamma:
                 cdc, _ = cumulative_dc(sol.W, cls)
                 ratios[pen].append(cdc / opt)
         assert np.mean(ratios[Penalty.L0]) >= np.mean(ratios[Penalty.L1])
+
+
+class TestWorksFromS:
+    def test_no_eigendecomposition_larger_than_i_by_i(self, monkeypatch):
+        # Calibrated sparse designs, their metrics and detection need only
+        # the I x I Gram S S^T and thin factorizations of S and W; an N x N
+        # eigendecomposition would cost O(N^3) before every solve.
+        i_dim, n_dim = 5, 400
+        eigh = np.linalg.eigh
+
+        def small_eigh(a, *args, **kwargs):
+            if np.shape(a)[-1] > i_dim:
+                raise AssertionError(f"eigh of a {np.shape(a)} matrix")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+        cls = generate_signal_class(i_dim, n_dim, 0)
+        for penalty in (Penalty.L0, Penalty.L1):
+            spec = DesignSpec(N=n_dim, M=i_dim, penalty=penalty)
+            _, sol = calibrate_gamma(cls.signals, spec, 0.4)
+            report = metrics_report(sol.W, cls, sol.W.spec)
+            assert 0.0 < report.normalized_cdc <= 1.0
+            result = simulate_detection(sol.W, cls, 0, trials=1000, seed=(0, 0))
+            assert result.deflection_root > 0.0
