@@ -79,6 +79,7 @@ from .sparse import (
     objective_l1,
     recover_w,
     solve_gpower,
+    solve_path,
 )
 
 __all__ = [
@@ -142,6 +143,7 @@ __all__ = [
     "run_single_design",
     "simulate_detection",
     "solve_gpower",
+    "solve_path",
     "sym_eig",
     "write_csv",
     "write_json",

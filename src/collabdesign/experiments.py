@@ -27,7 +27,7 @@ from .errors import ConfigError
 from .metrics import _weights, cost_of_collaboration, cumulative_dc, metrics_report
 from .model import DesignSpec, Penalty, SignalClass, build_omega, generate_signal_class
 from .runconfig import RunConfig
-from .sparse import SparseSolution, calibrate_gamma, design_sparse
+from .sparse import SparseSolution, calibrate_gamma, design_path, design_sparse
 
 DEFAULT_DEACTIVATION_TARGET = 0.4
 _SPARSE_PENALTIES = (Penalty.L0, Penalty.L1)
@@ -231,10 +231,8 @@ def run_fig4(config: RunConfig) -> ExperimentTable:
             deact = np.empty(grid.size)
             native = np.empty(grid.size)
             span = np.empty(grid.size)
-            m_eff = min(config.m, config.i)
-            for k, g in enumerate(grid):
-                spec = DesignSpec(N=config.n, M=m_eff, gammas=g, penalty=pen)
-                sol = design_sparse(cls.signals, spec, allow_all_dead=True)
+            spec = DesignSpec(N=config.n, M=min(config.m, config.i), penalty=pen)
+            for k, sol in enumerate(design_path(cls.signals, spec, grid)):
                 deact[k] = sol.deactivated_ratio
                 native[k] = _penalty_merit(sol.raw_scores, pen)
                 span[k] = cumulative_dc(sol.W, cls)[0] / opt

@@ -10,15 +10,30 @@ where a_j are the columns of the I x N signal matrix A. Convexity makes the
 iteration U <- polar_factor(grad F(U)) a monotone ascent. The sparse
 combining matrix W is recovered row-wise from the optimal U by soft (l1) or
 hard (l0) thresholding of the scores A^T U, then unit-normalizing rows.
+
+Every solve runs through one kernel, solve_path, which iterates G
+independent solves (one per gamma) in lockstep on a G x I x M stack and
+retires each member once it converges or degenerates. A step takes one
+score product T = A^T U, which gives the objective, the gradient
+coefficients and the l0 support, and one stacked SVD of the gradients,
+which gives the singular values for the zero and shift tests and the polar
+factor. Only members whose gradient is near rank-deficient take a second
+SVD, of the shifted gradient g + mu U. A batch holds at most
+max(1, _BATCH_ELEMENTS // (N M)) members, so the G x N x M temporaries of
+a step stay within a few tens of kilobytes. solve_gpower is the G = 1
+call; sweeps and the calibration scan solve their gamma grids as stacked
+batches through design_path. The stacked products and SVDs give each
+member the same bits as a solve on its own.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .design import CollaborationMatrix, Provenance
-from .errors import AllRowsDead, RankDeficient, Unachievable
+from .errors import AllRowsDead, Unachievable
 from .linalg import polar_factor, sym_eig
 from .model import DesignSpec, Penalty
 
@@ -28,6 +43,10 @@ from .model import DesignSpec, Penalty
 # well defined when thresholding zeroes out whole gradient directions.
 _SHIFT_TRIGGER = 1e-10
 _SHIFT_SCALE = 1e-6
+
+# Elements of one G x N x M stack in a lockstep batch; a batch holds
+# max(1, _BATCH_ELEMENTS // (N M)) solves (27 at N=30, M=10; 1 at N=800).
+_BATCH_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -116,7 +135,6 @@ def gradient_l0(U: np.ndarray, A: np.ndarray, gammas, y_diag) -> np.ndarray:
 
 
 _OBJECTIVES = {Penalty.L1: objective_l1, Penalty.L0: objective_l0}
-_GRADIENTS = {Penalty.L1: gradient_l1, Penalty.L0: gradient_l0}
 
 
 def _pca_init(A: np.ndarray, M: int) -> np.ndarray:
@@ -141,21 +159,140 @@ def initial_u(A: np.ndarray, M: int, init: str = "pca", seed=None) -> np.ndarray
     raise ValueError(f"unknown init strategy {init!r}")
 
 
-def solve_gpower(
+def _batch_size(n: int, m: int) -> int:
+    """Members of one lockstep batch for an N-sensor, M-row problem."""
+    return max(1, _BATCH_ELEMENTS // (n * m))
+
+
+def _score_terms(t: np.ndarray, gam: np.ndarray, y: np.ndarray, l1: bool):
+    """Objective of each member and the coefficients C with grad F(U) = A C.
+
+    t is the G x N x M stack of scores A^T U, overwritten here, and gam the
+    G x 1 x M stack of penalties. Every product and sum is the one
+    objective_l* and gradient_l* take, so each member gets their values
+    bit for bit.
+    """
+    if l1:
+        r = np.abs(t)
+        r *= y
+        r -= gam
+        np.maximum(r, 0.0, out=r)
+        coef = 2.0 * y * r
+        coef *= np.sign(t, out=t)
+        r *= r
+        return np.sum(r, axis=(1, 2)), coef
+    coef = 2.0 * y**2 * t
+    np.multiply(t, y, out=t)
+    np.square(t, out=t)
+    coef *= t > gam
+    t -= gam
+    np.maximum(t, 0.0, out=t)
+    return np.sum(t, axis=(1, 2)), coef
+
+
+def _lockstep(
+    A: np.ndarray,
+    U0: np.ndarray,
+    gammas: np.ndarray,
+    y: np.ndarray,
+    l1: bool,
+    tol: float,
+    max_iter: int,
+) -> list[SolverState]:
+    """One batch of solves from the common start U0, one per row of gammas.
+
+    The arrays hold the active members only: a member leaves them, as a
+    finished SolverState, once it converges, degenerates or runs out of
+    iterations.
+    """
+    count, m = gammas.shape
+    eye = np.eye(m)
+    states: list = [None] * count
+    live = np.arange(count)
+    gam = gammas[:, None, :]
+    U = np.repeat(U0[None], count, axis=0)
+    f, coef = _score_terms(A.T @ U, gam, y, l1)
+    traces = [[v] for v in f.tolist()]
+    residual = np.full(count, float(np.linalg.norm(U0.T @ U0 - eye)))
+
+    def retire(done, iterations, converged=False, degenerate=False):
+        for j in np.flatnonzero(done):
+            states[live[j]] = SolverState(
+                U=U[j].copy(), objective_trace=traces[live[j]], iterations=iterations,
+                converged=converged, degenerate=degenerate,
+                stiefel_residual_max=float(residual[j]),
+            )
+        return ~done
+
+    for it in range(1, max_iter + 1):
+        g = A @ coef
+        p, sv, qt = np.linalg.svd(g, full_matrices=False)
+        zero = sv[:, 0] == 0.0
+        if zero.any():
+            # Every term clipped: a zero gradient has no polar factor.
+            keep = retire(zero, it - 1, degenerate=True)
+            live, U, g, p, sv, qt, f, gam, residual = (
+                x[keep] for x in (live, U, g, p, sv, qt, f, gam, residual)
+            )
+            if live.size == 0:
+                break
+        top = sv[:, 0]
+        U_next = p @ qt
+        shifted = np.flatnonzero(sv[:, -1] < _SHIFT_TRIGGER * top)
+        if shifted.size:
+            gs = g[shifted] + (_SHIFT_SCALE * top[shifted])[:, None, None] * U[shifted]
+            ps, ss, qts = np.linalg.svd(gs, full_matrices=False)
+            U_next[shifted] = ps @ qts
+            for j in np.flatnonzero((ss[:, 0] == 0.0) | (ss[:, -1] < 1e-12 * ss[:, 0])):
+                # Escalate the shift; any multiple of U keeps the ascent valid.
+                k = shifted[j]
+                U_next[k] = polar_factor(gs[j] + top[k] * U[k])
+        U = U_next
+        gram = np.swapaxes(U, 1, 2) @ U
+        gram -= eye
+        np.maximum(residual, np.linalg.norm(gram, axis=(1, 2)), out=residual)
+        f_new, coef = _score_terms(A.T @ U, gam, y, l1)
+        for k, value in zip(live.tolist(), f_new.tolist()):
+            traces[k].append(value)
+        done = f_new - f <= tol * np.maximum(np.abs(f), 1e-300)
+        f = f_new
+        if done.any():
+            keep = retire(done, it, converged=True)
+            live, U, coef, f, gam, residual = (
+                x[keep] for x in (live, U, coef, f, gam, residual)
+            )
+            if live.size == 0:
+                break
+    else:
+        retire(np.ones(live.size, dtype=bool), max_iter)
+    return states
+
+
+def solve_path(
     A: np.ndarray,
     spec: DesignSpec,
+    gammas,
     init: str = "pca",
     tol: float = 1e-8,
     max_iter: int = 10_000,
     init_seed=None,
-) -> SolverState:
-    """Maximize the penalized objective over U with orthonormal columns.
+) -> list[SolverState]:
+    """Maximize the penalized objective over U once per gamma, in lockstep.
 
-    Iterates U <- polar_factor(grad F(U)) until the relative objective
-    increase drops below tol or max_iter is reached. The objective trace is
-    monotone nondecreasing; Stiefel feasibility is tracked every iteration.
-    A zero gradient (every term clipped, gamma too large) yields a state
-    flagged degenerate instead of iterating.
+    gammas holds G entries, each a uniform penalty or a length-M vector of
+    per-row penalties; spec gives N, M, the penalty and y_diag, and its own
+    gammas are not read. Every solve starts from the same initial U and
+    iterates U <- polar_factor(grad F(U)) until the relative objective
+    increase drops below tol or max_iter is reached. The solves run in
+    batches of at most max(1, _BATCH_ELEMENTS // (N M)) members; state k is
+    the solve at gammas[k], and equals that solve on its own bit for bit.
+
+    Each objective trace is monotone nondecreasing and Stiefel feasibility
+    is tracked every iteration. A gradient with a singular value below
+    _SHIFT_TRIGGER of its largest is shifted by _SHIFT_SCALE times that
+    largest value times U before the polar step, and by the full value if
+    the shifted gradient is still rank-deficient. A zero gradient (every
+    term clipped, gamma too large) yields a state flagged degenerate.
 
     Requires spec.M <= I <= N for the I x N signal matrix A.
     """
@@ -167,45 +304,51 @@ def solve_gpower(
     if spec.N != N:
         raise ValueError(f"spec.N={spec.N} does not match A with N={N}")
     if spec.penalty is Penalty.NONE:
-        raise ValueError("solve_gpower needs an l0 or l1 penalty")
+        raise ValueError("the solver needs an l0 or l1 penalty")
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    objective = _OBJECTIVES[spec.penalty]
-    gradient = _GRADIENTS[spec.penalty]
-    gammas, y = spec.gammas, spec.y_diag
+    gam = np.asarray(gammas, dtype=float)
+    if gam.ndim == 1:
+        gam = gam[:, None] * np.ones(M)
+    if gam.ndim != 2 or gam.shape[1] != M:
+        raise ValueError(f"gammas must hold scalars or length-M={M} vectors")
+    if (gam < 0).any():
+        raise ValueError("penalties must be nonnegative")
+    U0 = initial_u(Af, M, init=init, seed=init_seed)
+    l1 = spec.penalty is Penalty.L1
+    size = _batch_size(N, M)
+    states: list[SolverState] = []
+    for start in range(0, gam.shape[0], size):
+        batch = gam[start:start + size]
+        states.extend(_lockstep(Af, U0, batch, spec.y_diag, l1, tol, max_iter))
+    return states
 
-    U = initial_u(Af, M, init=init, seed=init_seed)
-    f = objective(U, Af, gammas, y)
-    trace = [f]
-    residual = float(np.linalg.norm(U.T @ U - np.eye(M)))
-    for it in range(1, max_iter + 1):
-        g = gradient(U, Af, gammas, y)
-        sv = np.linalg.svd(g, compute_uv=False)
-        if sv[0] == 0.0:
-            return SolverState(
-                U=U, objective_trace=trace, iterations=it - 1,
-                converged=False, degenerate=True, stiefel_residual_max=residual,
-            )
-        if sv[-1] < _SHIFT_TRIGGER * sv[0]:
-            g = g + (_SHIFT_SCALE * sv[0]) * U
-        try:
-            U = polar_factor(g)
-        except RankDeficient:
-            # Escalate the shift; any multiple of U keeps the ascent valid.
-            U = polar_factor(g + sv[0] * U)
-        residual = max(residual, float(np.linalg.norm(U.T @ U - np.eye(M))))
-        f_new = objective(U, Af, gammas, y)
-        trace.append(f_new)
-        if f_new - f <= tol * max(abs(f), 1e-300):
-            return SolverState(
-                U=U, objective_trace=trace, iterations=it,
-                converged=True, stiefel_residual_max=residual,
-            )
-        f = f_new
-    return SolverState(
-        U=U, objective_trace=trace, iterations=max_iter,
-        converged=False, stiefel_residual_max=residual,
-    )
+
+def solve_gpower(
+    A: np.ndarray,
+    spec: DesignSpec,
+    init: str = "pca",
+    tol: float = 1e-8,
+    max_iter: int = 10_000,
+    init_seed=None,
+) -> SolverState:
+    """Maximize the penalized objective over U at spec.gammas.
+
+    The G = 1 call of the lockstep kernel solve_path, whose batches of
+    gamma grids give each member exactly this result. Each step takes one
+    score product A^T U and one SVD of the gradient. A gradient whose
+    smallest singular value is below _SHIFT_TRIGGER times its largest,
+    sigma_0, gets the shift + _SHIFT_SCALE sigma_0 U and a second SVD; if
+    that is still rank-deficient, + sigma_0 U more. Iteration stops on a
+    relative objective increase below tol or after max_iter steps, and a
+    zero gradient is flagged degenerate.
+
+    Requires spec.M <= I <= N for the I x N signal matrix A.
+    """
+    return solve_path(
+        A, spec, spec.gammas[None, :], init=init, tol=tol, max_iter=max_iter,
+        init_seed=init_seed,
+    )[0]
 
 
 def _threshold_scores(t: np.ndarray, gammas, y_diag, penalty: Penalty) -> np.ndarray:
@@ -214,9 +357,7 @@ def _threshold_scores(t: np.ndarray, gammas, y_diag, penalty: Penalty) -> np.nda
     g = np.asarray(gammas, dtype=float)[None, :]
     if penalty is Penalty.L1:
         return np.sign(t) * np.maximum(y * np.abs(t) - g, 0.0)
-    if penalty is Penalty.L0:
-        return t * ((y * t) ** 2 > g)
-    raise ValueError("recovery needs an l0 or l1 penalty")
+    return t * ((y * t) ** 2 > g)
 
 
 def _build_solution(
@@ -236,11 +377,10 @@ def _build_solution(
         if norms[i] > 0.0:
             w[i] = z[:, i] / norms[i]
     provenance = Provenance.SPARSE_L1 if spec.penalty is Penalty.L1 else Provenance.SPARSE_L0
-    objective = _OBJECTIVES[spec.penalty](state.U, A, spec.gammas, spec.y_diag)
     return SparseSolution(
         W=CollaborationMatrix(W=w, provenance=provenance, spec=spec),
         U=state,
-        objective=objective,
+        objective=state.objective,
         dead_rows=dead,
         raw_scores=z.T,
     )
@@ -255,9 +395,14 @@ def recover_w(U, A: np.ndarray, gammas, y_diag, penalty: Penalty) -> SparseSolut
     link). Each nonzero row is scaled to unit norm; rows that vanish
     entirely are dead.
     """
-    state = U if isinstance(U, SolverState) else SolverState(
-        U=np.asarray(U, dtype=float), objective_trace=[0.0], iterations=0, converged=True
-    )
+    if penalty not in _OBJECTIVES:
+        raise ValueError("recovery needs an l0 or l1 penalty")
+    if isinstance(U, SolverState):
+        state = U
+    else:
+        Uf = np.asarray(U, dtype=float)
+        objective = _OBJECTIVES[penalty](Uf, A, gammas, y_diag)
+        state = SolverState(U=Uf, objective_trace=[objective], iterations=0, converged=True)
     m = state.U.shape[1]
     spec = DesignSpec(
         N=np.asarray(A).shape[1], M=m, gammas=np.asarray(gammas, dtype=float) * np.ones(m),
@@ -279,6 +424,33 @@ def design_sparse(
     return _build_solution(state, A, spec, allow_all_dead=allow_all_dead)
 
 
+def design_path(
+    A: np.ndarray,
+    spec: DesignSpec,
+    gammas,
+    tol: float = 1e-8,
+    max_iter: int = 10_000,
+) -> Iterator[SparseSolution]:
+    """Yield the design of spec at each of gammas, in order.
+
+    The solves run through solve_path one lockstep batch at a time, so at
+    most one batch of solver states is held, and a caller that stops early
+    leaves at most one batch minus one solve unused. Designs whose rows are
+    all dead are kept.
+    """
+    Af = np.asarray(A, dtype=float)
+    gammas = np.asarray(gammas, dtype=float)
+    size = _batch_size(spec.N, spec.M)
+    for start in range(0, len(gammas), size):
+        batch = gammas[start:start + size]
+        states = solve_path(Af, spec, batch, tol=tol, max_iter=max_iter)
+        for gamma, state in zip(batch, states):
+            trial = DesignSpec(
+                N=spec.N, M=spec.M, gammas=gamma, penalty=spec.penalty, y_diag=spec.y_diag
+            )
+            yield _build_solution(state, Af, trial, allow_all_dead=True)
+
+
 def gamma_ceiling(A: np.ndarray, penalty: Penalty, y_diag=1.0) -> float:
     """A gamma at which every link of every row is provably deactivated."""
     col_norm_max = float(np.linalg.norm(np.asarray(A, dtype=float), axis=0).max())
@@ -297,11 +469,18 @@ def calibrate_gamma(
 ) -> tuple[float, SparseSolution]:
     """Find a uniform gamma whose design deactivates the target link fraction.
 
-    Bisection over gamma in [0, gamma_max], accepting when the achieved
-    deactivation is within 1/(M N) of the target or the bracket width falls
-    below 1e-10 relative. Because U re-optimizes at every gamma the response
-    can be locally non-monotone; a 200-point grid scan backstops bisection
-    and the closest achievable point is returned.
+    Bisection over gamma in [0, gamma_max], at most 200 steps, stops when
+    the bracket width falls below 1e-10 relative. A design is accepted when
+    abs(achieved - target) <= 1/(M N) in floating point; the difference
+    can round above 1/(M N), so a miss of one link below the target may be
+    rejected while one above passes. If bisection accepts nothing (the
+    response can be locally non-monotone, because U re-optimizes at every
+    gamma), a 200-point grid around the last midpoint is scanned in order,
+    stopping at the first accepted point, and the closest point found is
+    returned whether or not it was accepted. The scan solves its grid in
+    lockstep batches through design_path and replays them in gamma order,
+    so it returns what a serial scan returns, with at most one batch minus
+    one extra solve.
     """
     penalty = spec.penalty if penalty is None else penalty
     if penalty is Penalty.NONE:
@@ -346,8 +525,9 @@ def calibrate_gamma(
             scan_lo, scan_hi = 0.7 * mid, min(ceiling, 1.5 * mid)
         else:
             scan_lo, scan_hi = 0.0, ceiling
-        for gamma in np.linspace(scan_lo, scan_hi, 200):
-            sol = at(float(gamma))
+        grid = np.linspace(scan_lo, scan_hi, 200)
+        path = DesignSpec(N=n, M=m, penalty=penalty, y_diag=spec.y_diag)
+        for gamma, sol in zip(grid, design_path(A, path, grid, tol=tol, max_iter=max_iter)):
             err = abs(sol.deactivated_ratio - target_deactivation)
             if err < best_err:
                 best_gamma, best_sol, best_err = float(gamma), sol, err

@@ -22,7 +22,9 @@ from collabdesign import (
     simulate_detection,
     solve_gpower,
 )
-from collabdesign.sparse import gamma_ceiling, initial_u
+from collabdesign import sparse
+from collabdesign.experiments import penalty_gamma_grid
+from collabdesign.sparse import _batch_size, gamma_ceiling, initial_u, solve_path
 from conftest import assert_trace_monotone, random_orthonormal_rows
 
 
@@ -189,6 +191,108 @@ class TestSolveGpower:
         assert state.objective == pytest.approx(want, rel=1e-6)
 
 
+def count_calls(monkeypatch, module, name, counter, size=lambda *a, **k: 1):
+    """Wrap module.name so that every call adds size(args) to counter[name]."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counter[name] = counter.get(name, 0) + size(*args, **kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def assert_same_state(got, want):
+    assert got.U.tobytes() == want.U.tobytes()
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.degenerate == want.degenerate
+    assert np.array(got.objective_trace).tobytes() == np.array(want.objective_trace).tobytes()
+
+
+class TestSolvePath:
+    @pytest.mark.parametrize("penalty", [Penalty.L0, Penalty.L1])
+    @pytest.mark.parametrize("i_dim,n_dim,seed", [(10, 30, 0), (6, 14, 3)])
+    def test_matches_per_gamma_solves_bitwise(self, monkeypatch, penalty, i_dim, n_dim, seed):
+        cls = generate_signal_class(i_dim, n_dim, seed)
+        spec = DesignSpec(N=n_dim, M=i_dim, penalty=penalty)
+        grid = penalty_gamma_grid(cls.signals, penalty, 25)
+        path = solve_path(cls.signals, spec, grid)
+        objective = objective_l0 if penalty is Penalty.L0 else objective_l1
+        counter: dict = {}
+        count_calls(monkeypatch, np.linalg, "svd", counter)
+        shifted = 0
+        for gamma, state in zip(grid, path):
+            counter["svd"] = 0
+            alone = solve_gpower(
+                cls.signals, DesignSpec(N=n_dim, M=i_dim, gammas=gamma, penalty=penalty)
+            )
+            # one SVD per step, plus one per step that takes the mu U shift
+            shifted += counter["svd"] > alone.iterations + alone.degenerate
+            assert_same_state(state, alone)
+            assert state.objective == objective(state.U, cls.signals, gamma, spec.y_diag)
+        assert shifted > 0
+        assert path[-1].degenerate
+        assert sum(s.converged for s in path) > 10
+
+    def test_per_row_gammas_match_design_spec(self):
+        cls = generate_signal_class(5, 12, 4)
+        rows = np.array([[0.0, 0.1, 0.2], [0.3, 0.0, 0.6], [0.5, 0.5, 0.5]])
+        path = solve_path(cls.signals, DesignSpec(N=12, M=3, penalty=Penalty.L1), rows)
+        for gammas, state in zip(rows, path):
+            spec = DesignSpec(N=12, M=3, gammas=gammas, penalty=Penalty.L1)
+            assert_same_state(state, solve_gpower(cls.signals, spec))
+
+    def test_escalated_shift_matches_per_gamma_solves(self, monkeypatch):
+        # Without the small mu U shift, a gradient with dead columns stays
+        # rank-deficient and every such step takes the escalated shift.
+        monkeypatch.setattr(sparse, "_SHIFT_SCALE", 0.0)
+        counter: dict = {}
+        count_calls(monkeypatch, sparse, "polar_factor", counter)
+        cls = generate_signal_class(6, 14, 3)
+        spec = DesignSpec(N=14, M=6, penalty=Penalty.L0)
+        grid = penalty_gamma_grid(cls.signals, Penalty.L0, 25)
+        path = solve_path(cls.signals, spec, grid)
+        escalations = counter.get("polar_factor", 0)
+        assert escalations > 0
+        for gamma, state in zip(grid, path):
+            assert_trace_monotone(state.objective_trace)
+            alone = solve_gpower(
+                cls.signals, DesignSpec(N=14, M=6, gammas=gamma, penalty=Penalty.L0)
+            )
+            assert_same_state(state, alone)
+
+    def test_rejects_malformed_gammas(self):
+        cls = generate_signal_class(4, 9, 0)
+        spec = DesignSpec(N=9, M=2, penalty=Penalty.L0)
+        with pytest.raises(ValueError):
+            solve_path(cls.signals, spec, [[0.1, 0.2, 0.3]])
+        with pytest.raises(ValueError):
+            solve_path(cls.signals, spec, [0.1, -0.2])
+        assert solve_path(cls.signals, spec, []) == []
+
+    @pytest.mark.parametrize("i_dim,n_dim", [(10, 30), (5, 800)])
+    def test_working_set_is_bounded(self, monkeypatch, i_dim, n_dim):
+        # A 200-point path never stacks more than one batch of solves.
+        bound = _batch_size(n_dim, i_dim)
+        svd = np.linalg.svd
+        stacks = []
+
+        def bounded_svd(a, *args, **kwargs):
+            depth = int(np.prod(np.shape(a)[:-2]))
+            if depth > bound:
+                raise AssertionError(f"svd of a stack of {depth} > {bound}")
+            stacks.append(depth)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", bounded_svd)
+        cls = generate_signal_class(i_dim, n_dim, 0)
+        spec = DesignSpec(N=n_dim, M=i_dim, penalty=Penalty.L0)
+        path = solve_path(cls.signals, spec, penalty_gamma_grid(cls.signals, Penalty.L0, 200))
+        assert len(path) == 200
+        assert max(stacks) == bound
+
+
 class TestRecovery:
     def test_l1_hand_instance(self):
         sol = recover_w(np.array([[1.0]]), np.array([[3.0, 1.0]]), 1.0, 1.0, Penalty.L1)
@@ -338,6 +442,77 @@ class TestCalibrateGamma:
                 cdc, _ = cumulative_dc(sol.W, cls)
                 ratios[pen].append(cdc / opt)
         assert np.mean(ratios[Penalty.L0]) >= np.mean(ratios[Penalty.L1])
+
+
+def serial_calibration(a, spec, target, penalty):
+    """calibrate_gamma's bisection and scan, one design_sparse call per gamma.
+
+    Returns (gamma, solution, solves, scan_solves).
+    """
+    m, n = spec.M, spec.N
+    solves = 0
+
+    def at(gamma):
+        nonlocal solves
+        solves += 1
+        trial = DesignSpec(N=n, M=m, gammas=gamma, penalty=penalty)
+        return design_sparse(a, trial, allow_all_dead=True)
+
+    slack = 1.0 / (m * n)
+    ceiling = gamma_ceiling(a, penalty)
+    lo, hi = 0.0, ceiling
+    best_gamma, best_sol = 0.0, at(0.0)
+    best_err = abs(best_sol.deactivated_ratio - target)
+    if best_err <= slack:
+        return best_gamma, best_sol, solves, 0
+    mid = 0.0
+    for _ in range(200):
+        if hi - lo <= 1e-10 * max(hi, 1.0):
+            break
+        mid = 0.5 * (lo + hi)
+        sol = at(mid)
+        err = abs(sol.deactivated_ratio - target)
+        if err < best_err:
+            best_gamma, best_sol, best_err = mid, sol, err
+        if best_err <= slack:
+            return best_gamma, best_sol, solves, 0
+        if sol.deactivated_ratio < target:
+            lo = mid
+        else:
+            hi = mid
+    scan_lo, scan_hi = (0.7 * mid, min(ceiling, 1.5 * mid)) if mid > 0.0 else (0.0, ceiling)
+    bisection_solves = solves
+    for gamma in np.linspace(scan_lo, scan_hi, 200):
+        sol = at(float(gamma))
+        err = abs(sol.deactivated_ratio - target)
+        if err < best_err:
+            best_gamma, best_sol, best_err = float(gamma), sol, err
+        if best_err <= slack:
+            break
+    return best_gamma, best_sol, solves, solves - bisection_solves
+
+
+class TestBatchedScan:
+    # Seed 0 at target 0.4 ends bisection one link below the target, which
+    # the acceptance test rejects, and its scan runs the whole grid; seed 2
+    # accepts the 30th point of its scan.
+    @pytest.mark.parametrize("seed,scan_solves", [(0, 200), (2, 30)])
+    def test_scan_returns_the_serial_result(self, monkeypatch, seed, scan_solves):
+        cls = generate_signal_class(10, 30, seed)
+        spec = DesignSpec(N=30, M=10, penalty=Penalty.L0)
+        want_gamma, want, serial_solves, scanned = serial_calibration(
+            cls.signals, spec, 0.4, Penalty.L0
+        )
+        assert scanned == scan_solves
+        counter: dict = {}
+        count_calls(monkeypatch, sparse, "solve_path", counter,
+                    size=lambda a, s, gammas, **k: len(gammas))
+        gamma, sol = calibrate_gamma(cls.signals, spec, 0.4)
+        assert gamma == want_gamma
+        assert sol.W.W.tobytes() == want.W.W.tobytes()
+        assert_same_state(sol.U, want.U)
+        extra = counter["solve_path"] - serial_solves
+        assert 0 <= extra <= _batch_size(30, 10) - 1
 
 
 class TestWorksFromS:
