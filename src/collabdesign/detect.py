@@ -90,11 +90,13 @@ def simulate_detection(
 ) -> DetectionResult:
     """Monte-Carlo power estimate for one signal of the class.
 
-    Simulates trials/2 observations under each hypothesis, projects them
-    through W, applies the matched statistic, and thresholds either at the
-    analytic level (default) or at the empirical H0 quantile. When the
-    statistic is degenerate (P_w s = 0 or W = 0) the calibrated test is a
-    data-independent coin that rejects with probability pfa.
+    The matched statistic T = p^T x, p = P_w s, is Gaussian with standard
+    deviation sigma ||p|| and mean 0 under H0 and s^T p = ||p||^2 under H1.
+    trials/2 values of T are drawn under each hypothesis, O(trials) work
+    whatever N, and thresholded either at the analytic level (default) or
+    at the empirical H0 quantile. When the statistic is degenerate
+    (P_w s = 0 or W = 0) the calibrated test is a data-independent coin
+    that rejects with probability pfa.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
@@ -110,17 +112,13 @@ def simulate_detection(
 
     rng = np.random.default_rng(seed)
     per_hyp = trials // 2
-    n = wm.shape[1]
     if scale == 0.0:
         detect_h1 = rng.random(per_hyp) < pfa
     else:
-        # T = p^T x with p = P_w s lies in the row span of W, so it is a
-        # function of y = W x; it has mean 0 / scale^2 and std sigma*scale
-        # under H0 / H1.
-        noise = sigma * rng.standard_normal((per_hyp, n))
-        t_h0 = noise @ p
-        noise = sigma * rng.standard_normal((per_hyp, n))
-        t_h1 = (s[None, :] + noise) @ p
+        # p = P_w s lies in the row span of W, so T = p^T x is a function of
+        # y = W x alone.
+        t_h0 = (sigma * scale) * rng.standard_normal(per_hyp)
+        t_h1 = scale * scale + (sigma * scale) * rng.standard_normal(per_hyp)
         if threshold == "analytic":
             tau = sigma * scale * _q_tail_inv(pfa)
         else:

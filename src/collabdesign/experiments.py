@@ -278,7 +278,12 @@ def run_fig4(config: RunConfig) -> ExperimentTable:
 
 
 def build_design(config: RunConfig, signal_class: SignalClass, seed) -> tuple:
-    """One design by the configured method; returns (matrix, spec, extras)."""
+    """One design by the configured method; returns (matrix, spec, extras).
+
+    A calibrated sparse design records calibration_miss_links: how far the
+    solved block's count of zero links lies from its target (see
+    calibrate_gamma), 1 or less unless calibration missed.
+    """
     method = config.resolved_method()
     extras: dict = {"method": method}
     if method == "pca":
@@ -297,6 +302,10 @@ def build_design(config: RunConfig, signal_class: SignalClass, seed) -> tuple:
             signal_class, config.m, penalty, config.target_deactivation
         )
         extras["calibrated_gamma"] = gamma
+        block_target = effective_row_target(
+            config.target_deactivation, config.m, sol.W.spec.M
+        )
+        extras["calibration_miss_links"] = sol.link_miss(block_target)
     else:
         gamma = config.gamma if config.gamma is not None else 0.0
         spec = DesignSpec(N=config.n, M=config.m, gammas=gamma, penalty=penalty)
@@ -350,11 +359,18 @@ def run_single_design(config: RunConfig) -> dict:
 
 
 def run_detect(config: RunConfig) -> ExperimentTable:
-    """Closed-form and Monte-Carlo detection power for the configured design."""
+    """Closed-form and Monte-Carlo detection power for the configured design.
+
+    For a calibrated sparse design the summary holds the largest
+    calibration_miss_links over the seeds.
+    """
+    misses = []
 
     def one_seed(seed: int) -> list[dict]:
         cls = _class_for(config, seed)
-        w, _, _ = build_design(config, cls, seed)
+        w, _, extras = build_design(config, cls, seed)
+        if "calibration_miss_links" in extras:
+            misses.append(extras["calibration_miss_links"])
         indices = (
             [config.signal_index]
             if config.signal_index is not None
@@ -387,4 +403,6 @@ def run_detect(config: RunConfig) -> ExperimentTable:
         "ci_half_width",
     )
     summary = {"trials": config.trials, "sigma": config.sigma, "pfa": config.pfa}
+    if misses:
+        summary["calibration_miss_links"] = max(misses)
     return ExperimentTable(columns=columns, rows=tuple(rows), summary=summary)

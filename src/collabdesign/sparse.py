@@ -24,6 +24,12 @@ a step stay within a few tens of kilobytes. solve_gpower is the G = 1
 call; sweeps and the calibration scan solve their gamma grids as stacked
 batches through design_path. The stacked products and SVDs give each
 member the same bits as a solve on its own.
+
+Every solve starts from the PCA point unless its caller passes an I x M
+orthonormal start. Gamma calibration does: each bisection solve starts from
+the U solved at the lower end of its bracket, as regularization-path
+solvers warm-start from the neighbouring penalty. The ascent is monotone
+from any Stiefel start, and a start near the answer takes far fewer steps.
 """
 from __future__ import annotations
 
@@ -78,6 +84,15 @@ class SparseSolution:
     @property
     def deactivated_ratio(self) -> float:
         return self.W.deactivated_ratio
+
+    def link_miss(self, target: float) -> float:
+        """Distance of the count of zero links from target M N, in links.
+
+        Rounded to 1e-9 links, so that the rounding of target M N
+        (0.34 * 10 * 30 = 102.00000000000001) does not count as a miss.
+        """
+        w = self.W.W
+        return round(abs(w.size - np.count_nonzero(w) - target * w.size), 9)
 
 
 def _scores(U: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -272,7 +287,7 @@ def solve_path(
     A: np.ndarray,
     spec: DesignSpec,
     gammas,
-    init: str = "pca",
+    init: str | np.ndarray = "pca",
     tol: float = 1e-8,
     max_iter: int = 10_000,
     init_seed=None,
@@ -281,11 +296,13 @@ def solve_path(
 
     gammas holds G entries, each a uniform penalty or a length-M vector of
     per-row penalties; spec gives N, M, the penalty and y_diag, and its own
-    gammas are not read. Every solve starts from the same initial U and
-    iterates U <- polar_factor(grad F(U)) until the relative objective
-    increase drops below tol or max_iter is reached. The solves run in
-    batches of at most max(1, _BATCH_ELEMENTS // (N M)) members; state k is
-    the solve at gammas[k], and equals that solve on its own bit for bit.
+    gammas are not read. Every solve starts from the same initial U, built
+    by initial_u when init names a strategy, or given as an I x M array with
+    orthonormal columns, and iterates U <- polar_factor(grad F(U)) until
+    the relative objective increase drops below tol or max_iter is reached.
+    The solves run in batches of at most max(1, _BATCH_ELEMENTS // (N M))
+    members; state k is the solve at gammas[k], and equals that solve on
+    its own bit for bit.
 
     Each objective trace is monotone nondecreasing and Stiefel feasibility
     is tracked every iteration. A gradient with a singular value below
@@ -314,7 +331,14 @@ def solve_path(
         raise ValueError(f"gammas must hold scalars or length-M={M} vectors")
     if (gam < 0).any():
         raise ValueError("penalties must be nonnegative")
-    U0 = initial_u(Af, M, init=init, seed=init_seed)
+    if isinstance(init, str):
+        U0 = initial_u(Af, M, init=init, seed=init_seed)
+    else:
+        U0 = np.asarray(init, dtype=float)
+        if U0.shape != (I, M):
+            raise ValueError(f"init must be an I x M = {I} x {M} array, got {U0.shape}")
+        if not np.linalg.norm(U0.T @ U0 - np.eye(M)) <= 1e-8:
+            raise ValueError("init must have orthonormal columns")
     l1 = spec.penalty is Penalty.L1
     size = _batch_size(N, M)
     states: list[SolverState] = []
@@ -327,7 +351,7 @@ def solve_path(
 def solve_gpower(
     A: np.ndarray,
     spec: DesignSpec,
-    init: str = "pca",
+    init: str | np.ndarray = "pca",
     tol: float = 1e-8,
     max_iter: int = 10_000,
     init_seed=None,
@@ -414,12 +438,12 @@ def recover_w(U, A: np.ndarray, gammas, y_diag, penalty: Penalty) -> SparseSolut
 def design_sparse(
     A: np.ndarray,
     spec: DesignSpec,
-    init: str = "pca",
+    init: str | np.ndarray = "pca",
     tol: float = 1e-8,
     max_iter: int = 10_000,
     allow_all_dead: bool = False,
 ) -> SparseSolution:
-    """Solve for U and recover W in one call."""
+    """Solve for U from init (a strategy name or an I x M start) and recover W."""
     state = solve_gpower(A, spec, init=init, tol=tol, max_iter=max_iter)
     return _build_solution(state, A, spec, allow_all_dead=allow_all_dead)
 
@@ -469,18 +493,25 @@ def calibrate_gamma(
 ) -> tuple[float, SparseSolution]:
     """Find a uniform gamma whose design deactivates the target link fraction.
 
-    Bisection over gamma in [0, gamma_max], at most 200 steps, stops when
-    the bracket width falls below 1e-10 relative. A design is accepted when
-    abs(achieved - target) <= 1/(M N) in floating point; the difference
-    can round above 1/(M N), so a miss of one link below the target may be
-    rejected while one above passes. If bisection accepts nothing (the
-    response can be locally non-monotone, because U re-optimizes at every
-    gamma), a 200-point grid around the last midpoint is scanned in order,
-    stopping at the first accepted point, and the closest point found is
-    returned whether or not it was accepted. The scan solves its grid in
-    lockstep batches through design_path and replays them in gamma order,
-    so it returns what a serial scan returns, with at most one batch minus
-    one extra solve.
+    A design is accepted when its count of zero links is within one link of
+    target M N (SparseSolution.link_miss). Both ends of the bracket
+    [0, gamma_max] are solved first, gamma_max = gamma_ceiling, so targets
+    0 and 1 return their exact designs. Bisection then halves the bracket
+    until a design is accepted or the bracket is narrower than 1e-10
+    relative. Each bisection solve starts from the U of the lower end: the
+    last solved gamma whose design deactivates fewer links than the target,
+    at first the gamma = 0 solution, which is the PCA start. If bisection
+    accepts nothing (the achieved count is quantized and not exactly
+    monotone in gamma, because U re-optimizes at every gamma), a 200-point
+    grid around the last midpoint is solved from the PCA start in lockstep
+    batches through design_path and read in gamma order, stopping at the
+    first accepted point. When no design within one link exists among those
+    solved, the closest one found is returned; its miss is
+    link_miss(target_deactivation).
+
+    Work: at most 2 + B + 200 solves of at most max_iter steps each, where
+    B = min(200, ceil(log2(1e10 gamma_max))) bounds the bisection steps
+    (38 at gamma_max = 20).
     """
     penalty = spec.penalty if penalty is None else penalty
     if penalty is Penalty.NONE:
@@ -489,48 +520,50 @@ def calibrate_gamma(
         raise Unachievable(f"target {target_deactivation} outside [0, 1]")
     m, n = spec.M, spec.N
 
-    def at(gamma: float) -> SparseSolution:
+    def at(gamma: float, init) -> SparseSolution:
         trial = DesignSpec(
             N=n, M=m, gammas=np.full(m, gamma), penalty=penalty, y_diag=spec.y_diag
         )
-        return design_sparse(A, trial, tol=tol, max_iter=max_iter, allow_all_dead=True)
+        return design_sparse(
+            A, trial, init=init, tol=tol, max_iter=max_iter, allow_all_dead=True
+        )
 
-    slack = 1.0 / (m * n)
+    best_gamma, best, best_miss = 0.0, None, np.inf
+
+    def accepted(gamma: float, sol: SparseSolution) -> bool:
+        """Keep sol if it is the closest so far; True once one is within a link."""
+        nonlocal best_gamma, best, best_miss
+        miss = sol.link_miss(target_deactivation)
+        if miss < best_miss:
+            best_gamma, best, best_miss = gamma, sol, miss
+        return best_miss <= 1.0
+
     ceiling = gamma_ceiling(A, penalty, spec.y_diag)
+    low = at(0.0, "pca")
+    if accepted(0.0, low) or accepted(ceiling, at(ceiling, low.U.U)):
+        return best_gamma, best
     lo, hi = 0.0, ceiling
-    best_gamma, best_sol = 0.0, at(0.0)
-    best_err = abs(best_sol.deactivated_ratio - target_deactivation)
-    if best_err <= slack:
-        return best_gamma, best_sol
     mid = 0.0
     for _ in range(200):
         if hi - lo <= 1e-10 * max(hi, 1.0):
             break
         mid = 0.5 * (lo + hi)
-        sol = at(mid)
-        err = abs(sol.deactivated_ratio - target_deactivation)
-        if err < best_err:
-            best_gamma, best_sol, best_err = mid, sol, err
-        if best_err <= slack:
-            return best_gamma, best_sol
+        sol = at(mid, low.U.U)
+        if accepted(mid, sol):
+            return best_gamma, best
         if sol.deactivated_ratio < target_deactivation:
-            lo = mid
+            lo, low = mid, sol
         else:
             hi = mid
-    if best_err > slack:
-        # Achieved deactivation is quantized and not exactly monotone in
-        # gamma (U re-optimizes), so alternatives that land closer to the
-        # target cluster in a neighborhood of the bisection crossing.
-        if mid > 0.0:
-            scan_lo, scan_hi = 0.7 * mid, min(ceiling, 1.5 * mid)
-        else:
-            scan_lo, scan_hi = 0.0, ceiling
-        grid = np.linspace(scan_lo, scan_hi, 200)
-        path = DesignSpec(N=n, M=m, penalty=penalty, y_diag=spec.y_diag)
-        for gamma, sol in zip(grid, design_path(A, path, grid, tol=tol, max_iter=max_iter)):
-            err = abs(sol.deactivated_ratio - target_deactivation)
-            if err < best_err:
-                best_gamma, best_sol, best_err = float(gamma), sol, err
-            if best_err <= slack:
-                break
-    return best_gamma, best_sol
+    # Alternatives that land closer to the target cluster in a
+    # neighbourhood of the bisection crossing.
+    if mid > 0.0:
+        scan_lo, scan_hi = 0.7 * mid, min(ceiling, 1.5 * mid)
+    else:
+        scan_lo, scan_hi = 0.0, ceiling
+    grid = np.linspace(scan_lo, scan_hi, 200)
+    path = DesignSpec(N=n, M=m, penalty=penalty, y_diag=spec.y_diag)
+    for gamma, sol in zip(grid, design_path(A, path, grid, tol=tol, max_iter=max_iter)):
+        if accepted(float(gamma), sol):
+            break
+    return best_gamma, best

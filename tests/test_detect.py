@@ -117,6 +117,36 @@ class TestSimulation:
             gap = abs(proj.pd_monte_carlo - full.pd_monte_carlo)
             assert gap <= 3 * (proj.ci_half_width + full.ci_half_width)
 
+    def test_draws_grow_with_trials_not_sensors(self, monkeypatch):
+        # T is drawn from its Gaussian law: no draw holds more than trials/2
+        # values, where drawing the noise x would take trials/2 x N.
+        trials, n_dim = 2000, 800
+        cls = generate_signal_class(5, n_dim, 0)
+        w = np.eye(3, n_dim)
+        make = np.random.default_rng
+        sizes = []
+
+        class Recorded:
+            def __init__(self, seed=None):
+                self._rng = make(seed)
+
+            def __getattr__(self, name):
+                method = getattr(self._rng, name)
+
+                def recorded(*args, **kwargs):
+                    out = method(*args, **kwargs)
+                    sizes.append(np.size(out))
+                    return out
+
+                return recorded
+
+        monkeypatch.setattr(np.random, "default_rng", Recorded)
+        for threshold in ("analytic", "empirical"):
+            result = simulate_detection(w, cls, 0, trials=trials, seed=1, threshold=threshold)
+            assert abs(result.pd_monte_carlo - result.pd_closed_form) <= 3 * result.ci_half_width
+        simulate_detection(np.zeros((3, n_dim)), cls, 0, trials=trials, seed=1)
+        assert sizes and max(sizes) <= trials // 2
+
     def test_empirical_threshold_consistent(self):
         cls = SignalClass(signals=np.array([[2.0, 0.0, 0.0, 0.0, 0.0]]))
         result = simulate_detection(

@@ -160,7 +160,7 @@ class TestFig2:
         row = fig2_table.rows[0]
         assert row["cdc_opt"] == pytest.approx(12.994332252268519, rel=1e-9)
         assert row["cdc_l0"] == pytest.approx(12.67755464745474, rel=1e-9)
-        assert row["cdc_l1"] == pytest.approx(11.608323577891667, rel=1e-9)
+        assert row["cdc_l1"] == pytest.approx(11.608319390479153, rel=1e-9)
         assert row["cdc_opt"] >= row["cdc_l0"] >= row["cdc_l1"]
         assert row["cdc_opt"] >= row["cdc_random"]
 
@@ -244,6 +244,21 @@ class TestDesignArtifacts:
         assert "calibrated_gamma" in summary
         assert 0.0 <= summary["achieved_deactivation"] <= 1.0
         assert summary["solver_iterations"] >= 1
+        w = run_single_design(cfg)["W"]
+        zeros = int(np.count_nonzero(w == 0.0))
+        assert summary["calibration_miss_links"] == pytest.approx(abs(zeros - 0.4 * w.size))
+        assert summary["calibration_miss_links"] <= 1.0
+
+    def test_calibration_miss_is_reported(self):
+        # Class seed 3 at M=5 has no design within one link of 60 that the
+        # calibration finds; the summary says how far off it is.
+        cfg = RunConfig(
+            experiment="design", n=30, m=5, i=10, seeds=(3,), method="l0",
+            target_deactivation=0.4,
+        )
+        artifacts = run_single_design(cfg)
+        zeros = int(np.count_nonzero(artifacts["W"] == 0.0))
+        assert artifacts["summary"]["calibration_miss_links"] == abs(zeros - 60) == 2
 
     def test_fixed_gamma_sparse_summary_fields(self):
         cfg = RunConfig(
@@ -277,6 +292,19 @@ class TestDetectRunner:
         assert [(r["seed"], r["signal_index"]) for r in table.rows] == [
             (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
         ]
+
+    def test_calibrated_design_reports_the_largest_miss(self):
+        cfg = RunConfig(
+            experiment="detect", n=30, m=5, i=10, seeds=(3, 6), trials=200, method="l0",
+            target_deactivation=0.4,
+        )
+        misses = [
+            build_design(cfg, generate_signal_class(10, 30, seed), seed)[2][
+                "calibration_miss_links"
+            ]
+            for seed in cfg.seeds
+        ]
+        assert run_detect(cfg).summary["calibration_miss_links"] == max(misses) == 2.0
 
     def test_signal_index_filters(self):
         cfg = RunConfig(

@@ -5,8 +5,10 @@ import pytest
 
 from collabdesign import (
     AllRowsDead,
+    CollaborationMatrix,
     DesignSpec,
     Penalty,
+    Provenance,
     SignalClass,
     Unachievable,
     calibrate_gamma,
@@ -271,6 +273,24 @@ class TestSolvePath:
             solve_path(cls.signals, spec, [0.1, -0.2])
         assert solve_path(cls.signals, spec, []) == []
 
+    def test_array_start_matches_the_named_start(self):
+        cls = generate_signal_class(6, 14, 3)
+        spec = DesignSpec(N=14, M=3, penalty=Penalty.L1)
+        grid = penalty_gamma_grid(cls.signals, Penalty.L1, 10)
+        start = initial_u(cls.signals, 3)
+        for named, given in zip(
+            solve_path(cls.signals, spec, grid), solve_path(cls.signals, spec, grid, init=start)
+        ):
+            assert_same_state(given, named)
+
+    def test_rejects_malformed_start(self):
+        cls = generate_signal_class(6, 14, 3)
+        spec = DesignSpec(N=14, M=3, gammas=0.1, penalty=Penalty.L0)
+        start = initial_u(cls.signals, 3)
+        for bad in (start.T, start[:, :2], 2.0 * start, np.full((6, 3), np.nan)):
+            with pytest.raises(ValueError):
+                design_sparse(cls.signals, spec, init=bad)
+
     @pytest.mark.parametrize("i_dim,n_dim", [(10, 30), (5, 800)])
     def test_working_set_is_bounded(self, monkeypatch, i_dim, n_dim):
         # A 200-point path never stacks more than one batch of solves.
@@ -444,75 +464,88 @@ class TestCalibrateGamma:
         assert np.mean(ratios[Penalty.L0]) >= np.mean(ratios[Penalty.L1])
 
 
-def serial_calibration(a, spec, target, penalty):
-    """calibrate_gamma's bisection and scan, one design_sparse call per gamma.
+def record_calibration(monkeypatch, a, spec, target):
+    """calibrate_gamma with its bisection solves and its solve count recorded.
 
-    Returns (gamma, solution, solves, scan_solves).
+    Returns (gamma, solution, designs, solves): designs holds the
+    (init, solution) of each design_sparse call in order, and solves counts
+    every gamma solved through solve_path, the scan's batches included.
     """
-    m, n = spec.M, spec.N
-    solves = 0
+    designs, counter = [], {}
+    design = sparse.design_sparse
 
-    def at(gamma):
-        nonlocal solves
-        solves += 1
-        trial = DesignSpec(N=n, M=m, gammas=gamma, penalty=penalty)
-        return design_sparse(a, trial, allow_all_dead=True)
+    def recorded(*args, **kwargs):
+        sol = design(*args, **kwargs)
+        designs.append((kwargs["init"], sol))
+        return sol
 
-    slack = 1.0 / (m * n)
-    ceiling = gamma_ceiling(a, penalty)
-    lo, hi = 0.0, ceiling
-    best_gamma, best_sol = 0.0, at(0.0)
-    best_err = abs(best_sol.deactivated_ratio - target)
-    if best_err <= slack:
-        return best_gamma, best_sol, solves, 0
-    mid = 0.0
-    for _ in range(200):
-        if hi - lo <= 1e-10 * max(hi, 1.0):
-            break
-        mid = 0.5 * (lo + hi)
-        sol = at(mid)
-        err = abs(sol.deactivated_ratio - target)
-        if err < best_err:
-            best_gamma, best_sol, best_err = mid, sol, err
-        if best_err <= slack:
-            return best_gamma, best_sol, solves, 0
-        if sol.deactivated_ratio < target:
-            lo = mid
-        else:
-            hi = mid
-    scan_lo, scan_hi = (0.7 * mid, min(ceiling, 1.5 * mid)) if mid > 0.0 else (0.0, ceiling)
-    bisection_solves = solves
-    for gamma in np.linspace(scan_lo, scan_hi, 200):
-        sol = at(float(gamma))
-        err = abs(sol.deactivated_ratio - target)
-        if err < best_err:
-            best_gamma, best_sol, best_err = float(gamma), sol, err
-        if best_err <= slack:
-            break
-    return best_gamma, best_sol, solves, solves - bisection_solves
+    monkeypatch.setattr(sparse, "design_sparse", recorded)
+    count_calls(monkeypatch, sparse, "solve_path", counter,
+                size=lambda a, s, gammas, **k: len(gammas))
+    gamma, sol = calibrate_gamma(a, spec, target)
+    return gamma, sol, designs, counter["solve_path"]
 
 
-class TestBatchedScan:
-    # Seed 0 at target 0.4 ends bisection one link below the target, which
-    # the acceptance test rejects, and its scan runs the whole grid; seed 2
-    # accepts the 30th point of its scan.
-    @pytest.mark.parametrize("seed,scan_solves", [(0, 200), (2, 30)])
-    def test_scan_returns_the_serial_result(self, monkeypatch, seed, scan_solves):
+# (class seed, M, penalty, target) at N=30, I=10. Seed 3 at M=5 scans its
+# whole 200-point grid and still misses by 2 links; seed 6 at M=5 accepts
+# the 24th point of its scan; the others close by bisection.
+CALIBRATIONS = [
+    (0, 10, Penalty.L0, 0.4),
+    (1, 10, Penalty.L1, 0.4),
+    (2, 10, Penalty.L1, 0.34),
+    (3, 5, Penalty.L0, 0.4),
+    (6, 5, Penalty.L0, 0.4),
+]
+
+
+class TestWarmStartedCalibration:
+    @pytest.mark.parametrize("seed,m,penalty,target", CALIBRATIONS)
+    def test_bisection_starts_from_the_lower_end(self, monkeypatch, seed, m, penalty, target):
         cls = generate_signal_class(10, 30, seed)
-        spec = DesignSpec(N=30, M=10, penalty=Penalty.L0)
-        want_gamma, want, serial_solves, scanned = serial_calibration(
-            cls.signals, spec, 0.4, Penalty.L0
-        )
-        assert scanned == scan_solves
-        counter: dict = {}
-        count_calls(monkeypatch, sparse, "solve_path", counter,
-                    size=lambda a, s, gammas, **k: len(gammas))
-        gamma, sol = calibrate_gamma(cls.signals, spec, 0.4)
-        assert gamma == want_gamma
-        assert sol.W.W.tobytes() == want.W.W.tobytes()
-        assert_same_state(sol.U, want.U)
-        extra = counter["solve_path"] - serial_solves
-        assert 0 <= extra <= _batch_size(30, 10) - 1
+        spec = DesignSpec(N=30, M=m, penalty=penalty)
+        _, _, designs, _ = record_calibration(monkeypatch, cls.signals, spec, target)
+        assert designs[0][0] == "pca"
+        low, moved = designs[0][1], 0
+        for init, sol in designs[1:]:
+            assert init.tobytes() == low.U.U.tobytes()
+            if sol.deactivated_ratio < target:
+                low, moved = sol, moved + 1
+        assert moved > 0
+
+    @pytest.mark.parametrize("seed,m,penalty,target", CALIBRATIONS)
+    def test_solve_count_within_the_stated_bound(self, monkeypatch, seed, m, penalty, target):
+        # calibrate_gamma states at most 2 + B + 200 solves, with
+        # B = min(200, ceil(log2(1e10 gamma_max))) bisection steps.
+        cls = generate_signal_class(10, 30, seed)
+        spec = DesignSpec(N=30, M=m, penalty=penalty)
+        _, sol, designs, solves = record_calibration(monkeypatch, cls.signals, spec, target)
+        steps = min(200, int(np.ceil(np.log2(1e10 * gamma_ceiling(cls.signals, penalty)))))
+        assert solves <= 2 + steps + 200
+        # when nothing lands within a link, the closest design found is returned
+        assert sol.link_miss(target) <= min(d.link_miss(target) for _, d in designs)
+
+    def test_worst_case_is_reached(self, monkeypatch):
+        # bisection runs out of steps and the scan solves its whole grid
+        cls = generate_signal_class(10, 30, 3)
+        spec = DesignSpec(N=30, M=5, penalty=Penalty.L0)
+        _, sol, designs, solves = record_calibration(monkeypatch, cls.signals, spec, 0.4)
+        steps = int(np.ceil(np.log2(1e10 * gamma_ceiling(cls.signals, Penalty.L0))))
+        assert (len(designs), solves) == (2 + steps, 2 + steps + 200)
+        assert sol.link_miss(0.4) == 2.0
+
+    def test_link_miss_forgives_the_rounding_of_the_target(self):
+        # 0.34 * 300 rounds to 102.00000000000001: a one-link miss below the
+        # target must count as one link, as a miss above does.
+        assert 0.34 * 300 != 102
+        spec = DesignSpec(N=30, M=10)
+        for zeros, miss in [(101, 1.0), (102, 0.0), (103, 1.0), (100, 2.0)]:
+            w = np.zeros((10, 30))
+            w.flat[: 300 - zeros] = 1.0
+            sol = sparse.SparseSolution(
+                W=CollaborationMatrix(W=w, provenance=Provenance.SPARSE_L0, spec=spec),
+                U=None, objective=0.0,
+            )
+            assert sol.link_miss(0.34) == miss
 
 
 class TestWorksFromS:
