@@ -21,7 +21,6 @@ from .design import (
 )
 from .detect import DetectionResult, pd_closed_form, simulate_detection
 from .errors import (
-    AllRowsDead,
     CollabDesignError,
     ConfigError,
     NotDiagonal,
@@ -41,7 +40,7 @@ from .experiments import (
     run_fig4,
     run_single_design,
 )
-from .linalg import EigenPairs, gram_schmidt_rows, polar_factor, row_basis, sym_eig
+from .linalg import EigenPairs, polar_factor, row_basis, sym_eig
 from .metrics import (
     MetricsReport,
     active_link_ratio,
@@ -83,7 +82,6 @@ from .sparse import (
 )
 
 __all__ = [
-    "AllRowsDead",
     "CollabDesignError",
     "CollaborationMatrix",
     "ConfigError",
@@ -120,7 +118,6 @@ __all__ = [
     "generate_signal_class",
     "gradient_l0",
     "gradient_l1",
-    "gram_schmidt_rows",
     "load_config",
     "max_deactivation_at",
     "metrics_report",

@@ -86,22 +86,19 @@ def simulate_detection(
     pfa: float = 0.05,
     trials: int = 100_000,
     seed=None,
-    threshold: str = "analytic",
 ) -> DetectionResult:
     """Monte-Carlo power estimate for one signal of the class.
 
     The matched statistic T = p^T x, p = P_w s, is Gaussian with standard
     deviation sigma ||p|| and mean 0 under H0 and s^T p = ||p||^2 under H1.
     trials/2 values of T are drawn under each hypothesis, O(trials) work
-    whatever N, and thresholded either at the analytic level (default) or
-    at the empirical H0 quantile. When the statistic is degenerate
+    whatever N, and thresholded at the level sigma ||p|| Q^{-1}(pfa) of
+    false-alarm rate pfa. When the statistic is degenerate
     (P_w s = 0 or W = 0) the calibrated test is a data-independent coin
     that rejects with probability pfa.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
-    if threshold not in ("analytic", "empirical"):
-        raise ValueError(f"unknown threshold mode {threshold!r}")
     wm = np.asarray(_weights(w), dtype=float)
     s = np.asarray(signal_class.signals[signal_index], dtype=float)
     basis = row_basis(wm)
@@ -116,14 +113,11 @@ def simulate_detection(
         detect_h1 = rng.random(per_hyp) < pfa
     else:
         # p = P_w s lies in the row span of W, so T = p^T x is a function of
-        # y = W x alone.
-        t_h0 = (sigma * scale) * rng.standard_normal(per_hyp)
+        # y = W x alone. The H0 draws come first in the seeded stream: the
+        # threshold does not read them, but they fix where the H1 draws sit.
+        rng.standard_normal(per_hyp)
         t_h1 = scale * scale + (sigma * scale) * rng.standard_normal(per_hyp)
-        if threshold == "analytic":
-            tau = sigma * scale * _q_tail_inv(pfa)
-        else:
-            tau = float(np.quantile(t_h0, 1.0 - pfa))
-        detect_h1 = t_h1 > tau
+        detect_h1 = t_h1 > sigma * scale * _q_tail_inv(pfa)
     pd_hat = float(np.mean(detect_h1))
     half = 1.96 * float(np.sqrt(max(pd_hat * (1.0 - pd_hat), 1.0 / per_hyp) / per_hyp))
     return DetectionResult(

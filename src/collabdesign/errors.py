@@ -21,10 +21,6 @@ class ZeroSignalClass(CollabDesignError):
     """Every signal in the class is zero."""
 
 
-class AllRowsDead(CollabDesignError):
-    """Sparse recovery produced a matrix with no nonzero row."""
-
-
 class Unachievable(CollabDesignError):
     """Calibration target cannot be bracketed."""
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import (
-    CollaborationMatrix,
     design_cost_free,
     design_diagonal_shortcut,
     design_random,
@@ -24,7 +23,13 @@ from .design import (
 )
 from .detect import simulate_detection
 from .errors import ConfigError
-from .metrics import _weights, cost_of_collaboration, cumulative_dc, metrics_report
+from .metrics import (
+    _weights,
+    cost_of_collaboration,
+    cost_of_universality,
+    cumulative_dc,
+    metrics_report,
+)
 from .model import DesignSpec, Penalty, SignalClass, build_omega, generate_signal_class
 from .runconfig import RunConfig
 from .sparse import SparseSolution, calibrate_gamma, design_path, design_sparse
@@ -60,15 +65,12 @@ def calibrated_sparse_design(
     m: int,
     penalty: Penalty,
     target: float,
-    y_diag=None,
 ) -> tuple[float, SparseSolution]:
     """Calibrate gamma on the solvable min(m, I)-row block."""
     m_eff = min(m, signal_class.count)
     block_target = effective_row_target(target, m, m_eff)
-    spec = DesignSpec(
-        N=signal_class.dimension, M=m_eff, penalty=penalty, y_diag=y_diag
-    )
-    return calibrate_gamma(signal_class.signals, spec, block_target, penalty)
+    spec = DesignSpec(N=signal_class.dimension, M=m_eff, penalty=penalty)
+    return calibrate_gamma(signal_class.signals, spec, block_target)
 
 
 def run_fig2(config: RunConfig) -> ExperimentTable:
@@ -94,7 +96,7 @@ def run_fig2(config: RunConfig) -> ExperimentTable:
                 key = (m_eff, block_target, pen)
                 if key not in cache:
                     spec = DesignSpec(N=config.n, M=m_eff, penalty=pen)
-                    _, sol = calibrate_gamma(cls.signals, spec, block_target, pen)
+                    _, sol = calibrate_gamma(cls.signals, spec, block_target)
                     cache[key] = cumulative_dc(sol.W, cls)[0]
                 sparse_cdc[pen] = cache[key]
             draws = [
@@ -141,13 +143,11 @@ def run_fig3(config: RunConfig) -> ExperimentTable:
         cell = {}
         for i_val in i_values:
             cls = generate_signal_class(i_val, config.n, seed)
-            energy = cls.energy
-            w_opt = design_cost_free(build_omega(cls), config.m)
-            cu_opt = min(cumulative_dc(w_opt, cls)[0] / energy, 1.0)
+            cu_opt = cost_of_universality(design_cost_free(build_omega(cls), config.m), cls)
             cu_pen = {}
             for pen in _SPARSE_PENALTIES:
                 _, sol = calibrated_sparse_design(cls, config.m, pen, target)
-                cu_pen[pen] = min(cumulative_dc(sol.W, cls)[0] / energy, 1.0)
+                cu_pen[pen] = cost_of_universality(sol.W, cls)
             cell[i_val] = (cu_opt, cu_pen[Penalty.L0], cu_pen[Penalty.L1])
         return cell
 
@@ -309,7 +309,7 @@ def build_design(config: RunConfig, signal_class: SignalClass, seed) -> tuple:
     else:
         gamma = config.gamma if config.gamma is not None else 0.0
         spec = DesignSpec(N=config.n, M=config.m, gammas=gamma, penalty=penalty)
-        sol = design_sparse(signal_class.signals, spec, allow_all_dead=True)
+        sol = design_sparse(signal_class.signals, spec)
         extras["gamma"] = gamma
     extras["achieved_deactivation"] = sol.deactivated_ratio
     extras["dead_rows"] = list(sol.dead_rows)

@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels used by every other module.
 
 Symmetric eigendecomposition with deterministic ordering, the polar factor
-(the Stiefel-manifold projection step of the generalized power method),
-an orthonormal basis of a row space, and Gram-Schmidt row orthonormalization.
+(the Stiefel-manifold projection step of the generalized power method) and
+an orthonormal basis of a row space.
 """
 from __future__ import annotations
 
@@ -118,29 +118,3 @@ def row_basis(w: np.ndarray) -> np.ndarray:
     _, sv, vt = np.linalg.svd(alive, full_matrices=False)
     return vt[sv > 1e-12 * sv[0]]
 
-
-def gram_schmidt_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor W^T = W_ort^T R^T with orthonormal rows W_ort.
-
-    R is M x M triangular with positive diagonal (row i of W is a
-    combination of the first i orthonormal rows), so that
-    W = R W_ort and W_ort is an orthonormal basis of the row span of W.
-
-    Raises
-    ------
-    RankDeficient
-        If W does not have full row rank.
-    """
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    m = w.shape[0]
-    _, sv, _ = np.linalg.svd(w, full_matrices=False)
-    if sv[-1] < 1e-10 * sv[0]:
-        raise RankDeficient("Gram-Schmidt requires full row rank")
-    # QR of W^T gives W^T = Q R_qr; rows of Q^T are orthonormal.
-    q, r_qr = np.linalg.qr(w.T)
-    signs = np.sign(np.diag(r_qr))
-    signs[signs == 0] = 1.0
-    q = q * signs[None, :]
-    r = (r_qr * signs[:, None]).T
-    assert r.shape == (m, m)
-    return q.T, r

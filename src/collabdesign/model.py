@@ -83,16 +83,13 @@ class Omega:
 class DesignSpec:
     """Dimensions and penalty weights for one collaboration design.
 
-    gammas holds the per-row cost penalties; y_diag is the diagonal of the
-    scaling matrix Y in the penalized problems (identity by default, the
-    setting used by every reported experiment).
+    gammas holds the per-row cost penalties, zero by default.
     """
 
     N: int
     M: int
     gammas: np.ndarray = field(default=None)  # type: ignore[assignment]
     penalty: Penalty = Penalty.NONE
-    y_diag: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if not (1 <= self.M <= self.N):
@@ -101,14 +98,9 @@ class DesignSpec:
         g = np.zeros(self.M) if g is None else np.asarray(g, dtype=float) * np.ones(self.M)
         if g.shape != (self.M,):
             raise ValueError(f"gammas must have length M={self.M}")
-        if (g < 0).any():
+        if not (g >= 0).all():
             raise ValueError("penalties must be nonnegative")
-        y = self.y_diag
-        y = np.ones(self.M) if y is None else np.asarray(y, dtype=float) * np.ones(self.M)
-        if y.shape != (self.M,) or (y <= 0).any():
-            raise ValueError("y_diag must be a length-M positive vector")
         object.__setattr__(self, "gammas", g)
-        object.__setattr__(self, "y_diag", y)
 
 
 def generate_signal_class(I: int, N: int, seed) -> SignalClass:

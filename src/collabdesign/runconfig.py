@@ -7,6 +7,7 @@ ranges ("0..49").
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -55,8 +56,8 @@ class RunConfig:
             raise ConfigError(f"need 1 <= i <= n, got i={self.i}, n={self.n}")
         if self.gamma is not None and self.target_deactivation is not None:
             raise ConfigError("gamma and target_deactivation are mutually exclusive")
-        if self.gamma is not None and self.gamma < 0:
-            raise ConfigError("gamma must be nonnegative")
+        if self.gamma is not None and not (0.0 <= self.gamma < math.inf):
+            raise ConfigError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if self.target_deactivation is not None and not (0.0 <= self.target_deactivation <= 1.0):
             raise ConfigError("target_deactivation must lie in [0, 1]")
         if self.method is not None and self.method not in METHODS:
@@ -71,8 +72,8 @@ class RunConfig:
             raise ConfigError("signals files apply only to the design/detect experiments")
         if not (0.0 < self.pfa < 1.0):
             raise ConfigError("pfa must lie in (0, 1)")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
+        if not (0.0 < self.sigma < math.inf):
+            raise ConfigError(f"sigma must be finite and positive, got {self.sigma}")
         if self.trials < 100:
             raise ConfigError("trials must be at least 100")
         if self.grid_points < 2:

@@ -3,8 +3,8 @@
 Both penalized problems reduce to maximizing a convex function of an
 I x M orthonormal-column matrix U:
 
-    l1:  F(U) = sum_ij [ y_i |a_j^T u_i| - gamma_i ]_+^2
-    l0:  F(U) = sum_ij [ (y_i a_j^T u_i)^2 - gamma_i ]_+
+    l1:  F(U) = sum_ij [ |a_j^T u_i| - gamma_i ]_+^2
+    l0:  F(U) = sum_ij [ (a_j^T u_i)^2 - gamma_i ]_+
 
 where a_j are the columns of the I x N signal matrix A. Convexity makes the
 iteration U <- polar_factor(grad F(U)) a monotone ascent. The sparse
@@ -25,11 +25,13 @@ call; sweeps and the calibration scan solve their gamma grids as stacked
 batches through design_path. The stacked products and SVDs give each
 member the same bits as a solve on its own.
 
-Every solve starts from the PCA point unless its caller passes an I x M
-orthonormal start. Gamma calibration does: each bisection solve starts from
-the U solved at the lower end of its bracket, as regularization-path
-solvers warm-start from the neighbouring penalty. The ascent is monotone
-from any Stiefel start, and a start near the answer takes far fewer steps.
+Every solve stops once the relative objective increase drops below _TOL,
+or after _MAX_ITER steps. It starts from the PCA point unless its caller
+passes an I x M orthonormal start. Gamma calibration does: each bisection
+solve starts from the U solved at the lower end of its bracket, as
+regularization-path solvers warm-start from the neighbouring penalty. The
+ascent is monotone from any Stiefel start, and a start near the answer
+takes far fewer steps.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import CollaborationMatrix, Provenance
-from .errors import AllRowsDead, Unachievable
+from .errors import Unachievable
 from .linalg import polar_factor, sym_eig
 from .model import DesignSpec, Penalty
 
@@ -53,6 +55,11 @@ _SHIFT_SCALE = 1e-6
 # Elements of one G x N x M stack in a lockstep batch; a batch holds
 # max(1, _BATCH_ELEMENTS // (N M)) solves (27 at N=30, M=10; 1 at N=800).
 _BATCH_ELEMENTS = 8192
+
+# Stopping rule of every solve: a relative objective increase below _TOL,
+# or _MAX_ITER steps.
+_TOL = 1e-8
+_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -77,7 +84,6 @@ class SparseSolution:
 
     W: CollaborationMatrix
     U: SolverState
-    objective: float
     dead_rows: tuple[int, ...] = field(default=())
     raw_scores: np.ndarray | None = None
 
@@ -106,54 +112,48 @@ def _per_row(values, m: int) -> np.ndarray:
     return arr * np.ones(m) if arr.ndim == 0 else arr
 
 
-def objective_l1(U: np.ndarray, A: np.ndarray, gammas, y_diag) -> float:
-    """sum_ij max(0, y_i |a_j^T u_i| - gamma_i)^2."""
+def objective_l1(U: np.ndarray, A: np.ndarray, gammas) -> float:
+    """sum_ij max(0, |a_j^T u_i| - gamma_i)^2."""
     Uf = np.asarray(U, dtype=float)
     t = _scores(Uf, np.asarray(A, dtype=float))
-    y = _per_row(y_diag, Uf.shape[1])
-    gam = _per_row(gammas, Uf.shape[1])
-    r = np.maximum(y[None, :] * np.abs(t) - gam[None, :], 0.0)
+    r = np.maximum(np.abs(t) - _per_row(gammas, Uf.shape[1])[None, :], 0.0)
     return float(np.sum(r * r))
 
 
-def objective_l0(U: np.ndarray, A: np.ndarray, gammas, y_diag) -> float:
-    """sum_ij max(0, (y_i a_j^T u_i)^2 - gamma_i)."""
+def objective_l0(U: np.ndarray, A: np.ndarray, gammas) -> float:
+    """sum_ij max(0, (a_j^T u_i)^2 - gamma_i)."""
     Uf = np.asarray(U, dtype=float)
     t = _scores(Uf, np.asarray(A, dtype=float))
-    y = _per_row(y_diag, Uf.shape[1])
-    gam = _per_row(gammas, Uf.shape[1])
-    return float(np.sum(np.maximum((y[None, :] * t) ** 2 - gam[None, :], 0.0)))
+    return float(np.sum(np.maximum(t**2 - _per_row(gammas, Uf.shape[1])[None, :], 0.0)))
 
 
-def gradient_l1(U: np.ndarray, A: np.ndarray, gammas, y_diag) -> np.ndarray:
-    """Column i: sum_j 2 max(0, y_i|a_j^T u_i| - gamma_i) y_i sign(a_j^T u_i) a_j.
+def gradient_l1(U: np.ndarray, A: np.ndarray, gammas) -> np.ndarray:
+    """Column i: sum_j 2 max(0, |a_j^T u_i| - gamma_i) sign(a_j^T u_i) a_j.
 
     At the kink a_j^T u_i = 0 the subgradient 0 is used; the clipped term
     vanishes there whenever gamma_i > 0.
     """
     Uf = np.asarray(U, dtype=float)
     Af = np.asarray(A, dtype=float)
-    y = _per_row(y_diag, Uf.shape[1])
     t = _scores(Uf, Af)
-    r = np.maximum(y[None, :] * np.abs(t) - _per_row(gammas, Uf.shape[1])[None, :], 0.0)
-    return Af @ (2.0 * y[None, :] * r * np.sign(t))
+    r = np.maximum(np.abs(t) - _per_row(gammas, Uf.shape[1])[None, :], 0.0)
+    return Af @ (2.0 * r * np.sign(t))
 
 
-def gradient_l0(U: np.ndarray, A: np.ndarray, gammas, y_diag) -> np.ndarray:
-    """Column i: sum_j 2 y_i^2 (a_j^T u_i) a_j over j with (y_i a_j^T u_i)^2 > gamma_i."""
+def gradient_l0(U: np.ndarray, A: np.ndarray, gammas) -> np.ndarray:
+    """Column i: sum_j 2 (a_j^T u_i) a_j over j with (a_j^T u_i)^2 > gamma_i."""
     Uf = np.asarray(U, dtype=float)
     Af = np.asarray(A, dtype=float)
-    y = _per_row(y_diag, Uf.shape[1])
     t = _scores(Uf, Af)
-    mask = (y[None, :] * t) ** 2 > _per_row(gammas, Uf.shape[1])[None, :]
-    return Af @ (2.0 * (y[None, :] ** 2) * t * mask)
+    mask = t**2 > _per_row(gammas, Uf.shape[1])[None, :]
+    return Af @ (2.0 * t * mask)
 
 
 _OBJECTIVES = {Penalty.L1: objective_l1, Penalty.L0: objective_l0}
 
 
-def _pca_init(A: np.ndarray, M: int) -> np.ndarray:
-    """Warm start at the cost-free optimum: the M leading eigenvectors of A A^T.
+def initial_u(A: np.ndarray, M: int) -> np.ndarray:
+    """The PCA start: the M leading eigenvectors of A A^T.
 
     With A = P Sigma Q^T and V0 the M leading eigenvectors of
     Omega = A^T A, A V0 = P_M Sigma_M, so the polar factor of A V0 is P_M:
@@ -161,17 +161,8 @@ def _pca_init(A: np.ndarray, M: int) -> np.ndarray:
     At gamma = 0 this U is already a fixed point of the iteration, and no
     N x N matrix is formed.
     """
-    return sym_eig(A @ A.T).top(M)
-
-
-def initial_u(A: np.ndarray, M: int, init: str = "pca", seed=None) -> np.ndarray:
-    """Build a feasible starting point with orthonormal columns."""
-    if init == "pca":
-        return _pca_init(np.asarray(A, dtype=float), M)
-    if init == "random":
-        rng = np.random.default_rng(seed)
-        return polar_factor(rng.standard_normal((np.asarray(A).shape[0], M)))
-    raise ValueError(f"unknown init strategy {init!r}")
+    Af = np.asarray(A, dtype=float)
+    return sym_eig(Af @ Af.T).top(M)
 
 
 def _batch_size(n: int, m: int) -> int:
@@ -179,7 +170,7 @@ def _batch_size(n: int, m: int) -> int:
     return max(1, _BATCH_ELEMENTS // (n * m))
 
 
-def _score_terms(t: np.ndarray, gam: np.ndarray, y: np.ndarray, l1: bool):
+def _score_terms(t: np.ndarray, gam: np.ndarray, l1: bool):
     """Objective of each member and the coefficients C with grad F(U) = A C.
 
     t is the G x N x M stack of scores A^T U, overwritten here, and gam the
@@ -189,15 +180,13 @@ def _score_terms(t: np.ndarray, gam: np.ndarray, y: np.ndarray, l1: bool):
     """
     if l1:
         r = np.abs(t)
-        r *= y
         r -= gam
         np.maximum(r, 0.0, out=r)
-        coef = 2.0 * y * r
+        coef = 2.0 * r
         coef *= np.sign(t, out=t)
         r *= r
         return np.sum(r, axis=(1, 2)), coef
-    coef = 2.0 * y**2 * t
-    np.multiply(t, y, out=t)
+    coef = 2.0 * t
     np.square(t, out=t)
     coef *= t > gam
     t -= gam
@@ -205,15 +194,7 @@ def _score_terms(t: np.ndarray, gam: np.ndarray, y: np.ndarray, l1: bool):
     return np.sum(t, axis=(1, 2)), coef
 
 
-def _lockstep(
-    A: np.ndarray,
-    U0: np.ndarray,
-    gammas: np.ndarray,
-    y: np.ndarray,
-    l1: bool,
-    tol: float,
-    max_iter: int,
-) -> list[SolverState]:
+def _lockstep(A: np.ndarray, U0: np.ndarray, gammas: np.ndarray, l1: bool) -> list[SolverState]:
     """One batch of solves from the common start U0, one per row of gammas.
 
     The arrays hold the active members only: a member leaves them, as a
@@ -226,7 +207,7 @@ def _lockstep(
     live = np.arange(count)
     gam = gammas[:, None, :]
     U = np.repeat(U0[None], count, axis=0)
-    f, coef = _score_terms(A.T @ U, gam, y, l1)
+    f, coef = _score_terms(A.T @ U, gam, l1)
     traces = [[v] for v in f.tolist()]
     residual = np.full(count, float(np.linalg.norm(U0.T @ U0 - eye)))
 
@@ -239,7 +220,7 @@ def _lockstep(
             )
         return ~done
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         g = A @ coef
         p, sv, qt = np.linalg.svd(g, full_matrices=False)
         zero = sv[:, 0] == 0.0
@@ -266,10 +247,10 @@ def _lockstep(
         gram = np.swapaxes(U, 1, 2) @ U
         gram -= eye
         np.maximum(residual, np.linalg.norm(gram, axis=(1, 2)), out=residual)
-        f_new, coef = _score_terms(A.T @ U, gam, y, l1)
+        f_new, coef = _score_terms(A.T @ U, gam, l1)
         for k, value in zip(live.tolist(), f_new.tolist()):
             traces[k].append(value)
-        done = f_new - f <= tol * np.maximum(np.abs(f), 1e-300)
+        done = f_new - f <= _TOL * np.maximum(np.abs(f), 1e-300)
         f = f_new
         if done.any():
             keep = retire(done, it, converged=True)
@@ -279,30 +260,24 @@ def _lockstep(
             if live.size == 0:
                 break
     else:
-        retire(np.ones(live.size, dtype=bool), max_iter)
+        retire(np.ones(live.size, dtype=bool), _MAX_ITER)
     return states
 
 
 def solve_path(
-    A: np.ndarray,
-    spec: DesignSpec,
-    gammas,
-    init: str | np.ndarray = "pca",
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-    init_seed=None,
+    A: np.ndarray, spec: DesignSpec, gammas, init: np.ndarray | None = None
 ) -> list[SolverState]:
     """Maximize the penalized objective over U once per gamma, in lockstep.
 
     gammas holds G entries, each a uniform penalty or a length-M vector of
-    per-row penalties; spec gives N, M, the penalty and y_diag, and its own
-    gammas are not read. Every solve starts from the same initial U, built
-    by initial_u when init names a strategy, or given as an I x M array with
-    orthonormal columns, and iterates U <- polar_factor(grad F(U)) until
-    the relative objective increase drops below tol or max_iter is reached.
-    The solves run in batches of at most max(1, _BATCH_ELEMENTS // (N M))
-    members; state k is the solve at gammas[k], and equals that solve on
-    its own bit for bit.
+    per-row penalties; spec gives N, M and the penalty, and its own gammas
+    are not read. Every solve starts from the same initial U: the PCA start
+    initial_u when init is None, else init, an I x M array with
+    orthonormal columns. It iterates U <- polar_factor(grad F(U)) until the
+    relative objective increase drops below _TOL or _MAX_ITER steps are
+    taken. The solves run in batches of at most
+    max(1, _BATCH_ELEMENTS // (N M)) members; state k is the solve at
+    gammas[k], and equals that solve on its own bit for bit.
 
     Each objective trace is monotone nondecreasing and Stiefel feasibility
     is tracked every iteration. A gradient with a singular value below
@@ -322,17 +297,15 @@ def solve_path(
         raise ValueError(f"spec.N={spec.N} does not match A with N={N}")
     if spec.penalty is Penalty.NONE:
         raise ValueError("the solver needs an l0 or l1 penalty")
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
     gam = np.asarray(gammas, dtype=float)
     if gam.ndim == 1:
         gam = gam[:, None] * np.ones(M)
     if gam.ndim != 2 or gam.shape[1] != M:
         raise ValueError(f"gammas must hold scalars or length-M={M} vectors")
-    if (gam < 0).any():
+    if not (gam >= 0).all():
         raise ValueError("penalties must be nonnegative")
-    if isinstance(init, str):
-        U0 = initial_u(Af, M, init=init, seed=init_seed)
+    if init is None:
+        U0 = initial_u(Af, M)
     else:
         U0 = np.asarray(init, dtype=float)
         if U0.shape != (I, M):
@@ -343,19 +316,11 @@ def solve_path(
     size = _batch_size(N, M)
     states: list[SolverState] = []
     for start in range(0, gam.shape[0], size):
-        batch = gam[start:start + size]
-        states.extend(_lockstep(Af, U0, batch, spec.y_diag, l1, tol, max_iter))
+        states.extend(_lockstep(Af, U0, gam[start:start + size], l1))
     return states
 
 
-def solve_gpower(
-    A: np.ndarray,
-    spec: DesignSpec,
-    init: str | np.ndarray = "pca",
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-    init_seed=None,
-) -> SolverState:
+def solve_gpower(A: np.ndarray, spec: DesignSpec, init: np.ndarray | None = None) -> SolverState:
     """Maximize the penalized objective over U at spec.gammas.
 
     The G = 1 call of the lockstep kernel solve_path, whose batches of
@@ -364,38 +329,27 @@ def solve_gpower(
     smallest singular value is below _SHIFT_TRIGGER times its largest,
     sigma_0, gets the shift + _SHIFT_SCALE sigma_0 U and a second SVD; if
     that is still rank-deficient, + sigma_0 U more. Iteration stops on a
-    relative objective increase below tol or after max_iter steps, and a
+    relative objective increase below _TOL or after _MAX_ITER steps, and a
     zero gradient is flagged degenerate.
 
     Requires spec.M <= I <= N for the I x N signal matrix A.
     """
-    return solve_path(
-        A, spec, spec.gammas[None, :], init=init, tol=tol, max_iter=max_iter,
-        init_seed=init_seed,
-    )[0]
+    return solve_path(A, spec, spec.gammas[None, :], init=init)[0]
 
 
-def _threshold_scores(t: np.ndarray, gammas, y_diag, penalty: Penalty) -> np.ndarray:
+def _threshold_scores(t: np.ndarray, gammas, penalty: Penalty) -> np.ndarray:
     """Raw (unnormalized) recovered scores Z, one column per row of W."""
-    y = np.asarray(y_diag, dtype=float)[None, :]
     g = np.asarray(gammas, dtype=float)[None, :]
     if penalty is Penalty.L1:
-        return np.sign(t) * np.maximum(y * np.abs(t) - g, 0.0)
-    return t * ((y * t) ** 2 > g)
+        return np.sign(t) * np.maximum(np.abs(t) - g, 0.0)
+    return t * (t**2 > g)
 
 
-def _build_solution(
-    state: SolverState,
-    A: np.ndarray,
-    spec: DesignSpec,
-    allow_all_dead: bool = False,
-) -> SparseSolution:
+def _build_solution(state: SolverState, A: np.ndarray, spec: DesignSpec) -> SparseSolution:
     t = _scores(state.U, np.asarray(A, dtype=float))
-    z = _threshold_scores(t, spec.gammas, spec.y_diag, spec.penalty)
+    z = _threshold_scores(t, spec.gammas, spec.penalty)
     norms = np.linalg.norm(z, axis=0)
     dead = tuple(int(i) for i in np.nonzero(norms == 0.0)[0])
-    if len(dead) == spec.M and not allow_all_dead:
-        raise AllRowsDead("every row of W was thresholded to zero")
     w = np.zeros((spec.M, spec.N))
     for i in range(spec.M):
         if norms[i] > 0.0:
@@ -404,97 +358,67 @@ def _build_solution(
     return SparseSolution(
         W=CollaborationMatrix(W=w, provenance=provenance, spec=spec),
         U=state,
-        objective=state.objective,
         dead_rows=dead,
         raw_scores=z.T,
     )
 
 
-def recover_w(U, A: np.ndarray, gammas, y_diag, penalty: Penalty) -> SparseSolution:
+def recover_w(U, A: np.ndarray, gammas, penalty: Penalty) -> SparseSolution:
     """Closed-form inner maximizer: threshold the scores, then unit rows.
 
-    l1 soft-thresholds, z_ij = sign(a_j^T u_i) max(0, y_i |a_j^T u_i| - gamma_i);
-    l0 hard-thresholds, z_ij = (a_j^T u_i) when (y_i a_j^T u_i)^2 exceeds
+    l1 soft-thresholds, z_ij = sign(a_j^T u_i) max(0, |a_j^T u_i| - gamma_i);
+    l0 hard-thresholds, z_ij = (a_j^T u_i) when (a_j^T u_i)^2 exceeds
     gamma_i, else 0 (strict inequality, so boundary ties deactivate the
     link). Each nonzero row is scaled to unit norm; rows that vanish
-    entirely are dead.
+    entirely are dead, and W is zero when every row is.
     """
     if penalty not in _OBJECTIVES:
         raise ValueError("recovery needs an l0 or l1 penalty")
-    if isinstance(U, SolverState):
-        state = U
-    else:
-        Uf = np.asarray(U, dtype=float)
-        objective = _OBJECTIVES[penalty](Uf, A, gammas, y_diag)
-        state = SolverState(U=Uf, objective_trace=[objective], iterations=0, converged=True)
-    m = state.U.shape[1]
-    spec = DesignSpec(
-        N=np.asarray(A).shape[1], M=m, gammas=np.asarray(gammas, dtype=float) * np.ones(m),
-        penalty=penalty, y_diag=np.asarray(y_diag, dtype=float) * np.ones(m),
-    )
+    Uf = np.asarray(U, dtype=float)
+    objective = _OBJECTIVES[penalty](Uf, A, gammas)
+    state = SolverState(U=Uf, objective_trace=[objective], iterations=0, converged=True)
+    spec = DesignSpec(N=np.asarray(A).shape[1], M=Uf.shape[1], gammas=gammas, penalty=penalty)
     return _build_solution(state, A, spec)
 
 
 def design_sparse(
-    A: np.ndarray,
-    spec: DesignSpec,
-    init: str | np.ndarray = "pca",
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-    allow_all_dead: bool = False,
+    A: np.ndarray, spec: DesignSpec, init: np.ndarray | None = None
 ) -> SparseSolution:
-    """Solve for U from init (a strategy name or an I x M start) and recover W."""
-    state = solve_gpower(A, spec, init=init, tol=tol, max_iter=max_iter)
-    return _build_solution(state, A, spec, allow_all_dead=allow_all_dead)
+    """Solve for U from init (None for the PCA start) and recover W."""
+    return _build_solution(solve_gpower(A, spec, init=init), A, spec)
 
 
-def design_path(
-    A: np.ndarray,
-    spec: DesignSpec,
-    gammas,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-) -> Iterator[SparseSolution]:
+def design_path(A: np.ndarray, spec: DesignSpec, gammas) -> Iterator[SparseSolution]:
     """Yield the design of spec at each of gammas, in order.
 
     The solves run through solve_path one lockstep batch at a time, so at
     most one batch of solver states is held, and a caller that stops early
-    leaves at most one batch minus one solve unused. Designs whose rows are
-    all dead are kept.
+    leaves at most one batch minus one solve unused.
     """
     Af = np.asarray(A, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     size = _batch_size(spec.N, spec.M)
     for start in range(0, len(gammas), size):
         batch = gammas[start:start + size]
-        states = solve_path(Af, spec, batch, tol=tol, max_iter=max_iter)
-        for gamma, state in zip(batch, states):
-            trial = DesignSpec(
-                N=spec.N, M=spec.M, gammas=gamma, penalty=spec.penalty, y_diag=spec.y_diag
-            )
-            yield _build_solution(state, Af, trial, allow_all_dead=True)
+        for gamma, state in zip(batch, solve_path(Af, spec, batch)):
+            trial = DesignSpec(N=spec.N, M=spec.M, gammas=gamma, penalty=spec.penalty)
+            yield _build_solution(state, Af, trial)
 
 
-def gamma_ceiling(A: np.ndarray, penalty: Penalty, y_diag=1.0) -> float:
+def gamma_ceiling(A: np.ndarray, penalty: Penalty) -> float:
     """A gamma at which every link of every row is provably deactivated."""
-    col_norm_max = float(np.linalg.norm(np.asarray(A, dtype=float), axis=0).max())
-    y_max = float(np.max(np.asarray(y_diag)))
-    bound = y_max * col_norm_max
+    bound = float(np.linalg.norm(np.asarray(A, dtype=float), axis=0).max())
     return bound if penalty is Penalty.L1 else bound * bound
 
 
 def calibrate_gamma(
-    A: np.ndarray,
-    spec: DesignSpec,
-    target_deactivation: float,
-    penalty: Penalty | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
+    A: np.ndarray, spec: DesignSpec, target_deactivation: float
 ) -> tuple[float, SparseSolution]:
     """Find a uniform gamma whose design deactivates the target link fraction.
 
-    A design is accepted when its count of zero links is within one link of
-    target M N (SparseSolution.link_miss). Both ends of the bracket
+    The penalty is spec.penalty, and spec.gammas is not read. A design is
+    accepted when its count of zero links is within one link of target
+    M N (SparseSolution.link_miss). Both ends of the bracket
     [0, gamma_max] are solved first, gamma_max = gamma_ceiling, so targets
     0 and 1 return their exact designs. Bisection then halves the bracket
     until a design is accepted or the bracket is narrower than 1e-10
@@ -509,11 +433,11 @@ def calibrate_gamma(
     solved, the closest one found is returned; its miss is
     link_miss(target_deactivation).
 
-    Work: at most 2 + B + 200 solves of at most max_iter steps each, where
-    B = min(200, ceil(log2(1e10 gamma_max))) bounds the bisection steps
-    (38 at gamma_max = 20).
+    Work: at most 2 + B + 200 solves of at most _MAX_ITER = 10_000 steps
+    each, where B = min(200, ceil(log2(1e10 gamma_max))) bounds the
+    bisection steps (38 at gamma_max = 20).
     """
-    penalty = spec.penalty if penalty is None else penalty
+    penalty = spec.penalty
     if penalty is Penalty.NONE:
         raise ValueError("calibration needs an l0 or l1 penalty")
     if not (0.0 <= target_deactivation <= 1.0):
@@ -521,12 +445,8 @@ def calibrate_gamma(
     m, n = spec.M, spec.N
 
     def at(gamma: float, init) -> SparseSolution:
-        trial = DesignSpec(
-            N=n, M=m, gammas=np.full(m, gamma), penalty=penalty, y_diag=spec.y_diag
-        )
-        return design_sparse(
-            A, trial, init=init, tol=tol, max_iter=max_iter, allow_all_dead=True
-        )
+        trial = DesignSpec(N=n, M=m, gammas=np.full(m, gamma), penalty=penalty)
+        return design_sparse(A, trial, init=init)
 
     best_gamma, best, best_miss = 0.0, None, np.inf
 
@@ -538,8 +458,8 @@ def calibrate_gamma(
             best_gamma, best, best_miss = gamma, sol, miss
         return best_miss <= 1.0
 
-    ceiling = gamma_ceiling(A, penalty, spec.y_diag)
-    low = at(0.0, "pca")
+    ceiling = gamma_ceiling(A, penalty)
+    low = at(0.0, None)
     if accepted(0.0, low) or accepted(ceiling, at(ceiling, low.U.U)):
         return best_gamma, best
     lo, hi = 0.0, ceiling
@@ -562,8 +482,8 @@ def calibrate_gamma(
     else:
         scan_lo, scan_hi = 0.0, ceiling
     grid = np.linspace(scan_lo, scan_hi, 200)
-    path = DesignSpec(N=n, M=m, penalty=penalty, y_diag=spec.y_diag)
-    for gamma, sol in zip(grid, design_path(A, path, grid, tol=tol, max_iter=max_iter)):
+    path = DesignSpec(N=n, M=m, penalty=penalty)
+    for gamma, sol in zip(grid, design_path(A, path, grid)):
         if accepted(float(gamma), sol):
             break
     return best_gamma, best

@@ -208,15 +208,14 @@ def test_criterion_7_solver_traces_feasibility_and_gradients_are_sound():
         if min(margin_kink, margin_clip) < 1e-4:
             continue
         checked += 1
-        y = np.ones(2)
-        g = gradient(u, a, gam, y)
+        g = gradient(u, a, gam)
         fd = np.zeros_like(g)
         for r in range(4):
             for c in range(2):
                 up, dn = u.copy(), u.copy()
                 up[r, c] += h
                 dn[r, c] -= h
-                fd[r, c] = (objective(up, a, gam, y) - objective(dn, a, gam, y)) / (2 * h)
+                fd[r, c] = (objective(up, a, gam) - objective(dn, a, gam)) / (2 * h)
         assert np.abs(fd - g).max() <= 1e-5 * max(1.0, float(np.abs(g).max()))
     print(
         f"criterion 7: {total_iterations} monotone iterations over {solves} solves "

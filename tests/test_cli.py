@@ -188,6 +188,21 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_is_usage_error(self, tmp_path, capsys, gamma):
+        code, out = run_verb(
+            tmp_path, "design", TINY_DESIGN, "--penalty", "l1", "--gamma", gamma
+        )
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
+
+    def test_non_finite_sigma_in_config_is_usage_error(self, tmp_path, capsys):
+        code, out = run_verb(tmp_path, "detect", TINY_DETECT + "sigma = nan\n")
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

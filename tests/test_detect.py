@@ -141,26 +141,16 @@ class TestSimulation:
                 return recorded
 
         monkeypatch.setattr(np.random, "default_rng", Recorded)
-        for threshold in ("analytic", "empirical"):
-            result = simulate_detection(w, cls, 0, trials=trials, seed=1, threshold=threshold)
-            assert abs(result.pd_monte_carlo - result.pd_closed_form) <= 3 * result.ci_half_width
+        result = simulate_detection(w, cls, 0, trials=trials, seed=1)
+        assert abs(result.pd_monte_carlo - result.pd_closed_form) <= 3 * result.ci_half_width
         simulate_detection(np.zeros((3, n_dim)), cls, 0, trials=trials, seed=1)
         assert sizes and max(sizes) <= trials // 2
-
-    def test_empirical_threshold_consistent(self):
-        cls = SignalClass(signals=np.array([[2.0, 0.0, 0.0, 0.0, 0.0]]))
-        result = simulate_detection(
-            one_row_design(), cls, 0, seed=9, threshold="empirical"
-        )
-        assert abs(result.pd_monte_carlo - result.pd_closed_form) <= 3 * result.ci_half_width
 
     def test_rejects_tiny_trial_counts_and_bad_mode(self):
         cls = SignalClass(signals=np.array([[1.0, 0.0]]))
         w = np.array([[1.0, 0.0]])
         with pytest.raises(ValueError):
             simulate_detection(w, cls, 0, trials=99)
-        with pytest.raises(ValueError):
-            simulate_detection(w, cls, 0, threshold="bootstrap")
 
     def test_sigma_scales_deflection(self):
         cls = SignalClass(signals=np.array([[2.0, 0.0, 0.0, 0.0, 0.0]]))

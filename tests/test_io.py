@@ -204,6 +204,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(experiment="fig2", m_values=(0, 3))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_gamma_and_sigma_rejected(self, value):
+        with pytest.raises(ConfigError):
+            RunConfig(experiment="design", method="l1", gamma=value)
+        with pytest.raises(ConfigError):
+            RunConfig(experiment="detect", sigma=value)
+
+    def test_non_finite_sigma_in_a_config_file_rejected(self):
+        values = parse_config_text("sigma = nan\n")
+        with pytest.raises(ConfigError):
+            build_config("detect", values)
+
     def test_unknown_experiment_and_method(self):
         with pytest.raises(ConfigError):
             RunConfig(experiment="fig9")

@@ -1,4 +1,4 @@
-"""Numeric kernels: eigendecomposition, polar factor, row basis, Gram-Schmidt."""
+"""Numeric kernels: eigendecomposition, polar factor, row basis."""
 import math
 import warnings
 
@@ -8,7 +8,6 @@ import pytest
 from collabdesign import (
     NotSymmetric,
     RankDeficient,
-    gram_schmidt_rows,
     polar_factor,
     row_basis,
     sym_eig,
@@ -177,32 +176,3 @@ class TestProjectorOf:
         want = w.T @ np.linalg.solve(w @ w.T, w @ s)
         assert np.allclose(b.T @ (b @ s), want, atol=1e-12)
 
-
-class TestGramSchmidtRows:
-    def test_hand_example(self):
-        w = np.array([[2.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
-        w_ort, r = gram_schmidt_rows(w)
-        assert np.allclose(w_ort, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], atol=1e-12)
-        assert np.allclose(r, [[2.0, 0.0], [1.0, 1.0]], atol=1e-12)
-
-    def test_orthonormal_fixed_point(self, rng):
-        w = random_orthonormal_rows(rng, 3, 6)
-        w_ort, r = gram_schmidt_rows(w)
-        assert np.allclose(w_ort, w, atol=1e-10)
-        assert np.allclose(r, np.eye(3), atol=1e-10)
-
-    def test_reconstruction_and_triangular(self, rng):
-        for _ in range(15):
-            m, n = int(rng.integers(1, 5)), int(rng.integers(5, 9))
-            w = rng.standard_normal((m, n))
-            w_ort, r = gram_schmidt_rows(w)
-            assert np.allclose(r @ w_ort, w, atol=1e-8)
-            assert np.allclose(w_ort @ w_ort.T, np.eye(m), atol=1e-10)
-            assert np.allclose(r, np.tril(r), atol=1e-12)
-            assert np.all(np.diag(r) > 0)
-            # same row space, so same projector
-            assert np.linalg.norm(projector(w) - w_ort.T @ w_ort) <= 1e-8
-
-    def test_dependent_rows_raise(self):
-        with pytest.raises(RankDeficient):
-            gram_schmidt_rows(np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]))

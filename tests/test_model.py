@@ -119,7 +119,6 @@ class TestDesignSpec:
         spec = DesignSpec(N=6, M=3)
         assert spec.penalty is Penalty.NONE
         assert np.allclose(spec.gammas, np.zeros(3))
-        assert np.allclose(spec.y_diag, np.ones(3))
 
     def test_scalar_gamma_broadcast(self):
         spec = DesignSpec(N=6, M=3, gammas=0.25, penalty=Penalty.L1)
@@ -134,10 +133,8 @@ class TestDesignSpec:
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
             DesignSpec(N=4, M=2, gammas=(-0.1, 0.0), penalty=Penalty.L0)
-
-    def test_nonpositive_y_rejected(self):
         with pytest.raises(ValueError):
-            DesignSpec(N=4, M=2, y_diag=(1.0, 0.0))
+            DesignSpec(N=4, M=2, gammas=(float("nan"), 0.0), penalty=Penalty.L0)
 
     def test_penalty_enum_round_trip(self):
         assert Penalty("l0") is Penalty.L0

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from collabdesign import (
-    AllRowsDead,
     CollaborationMatrix,
     DesignSpec,
     Penalty,
     Provenance,
-    SignalClass,
     Unachievable,
     calibrate_gamma,
     cumulative_dc,
@@ -39,33 +37,33 @@ class TestObjectives:
     def test_l1_hand_value(self):
         u = np.array([[1.0], [0.0]])
         a = np.eye(2)
-        assert objective_l1(u, a, [0.5], [1.0]) == pytest.approx(0.25)
+        assert objective_l1(u, a, [0.5]) == pytest.approx(0.25)
 
     def test_l0_hand_value(self):
         u = np.array([[1.0], [0.0]])
         a = np.eye(2)
-        assert objective_l0(u, a, [0.5], [1.0]) == pytest.approx(0.5)
+        assert objective_l0(u, a, [0.5]) == pytest.approx(0.5)
 
     def test_scalar_gamma_broadcasts(self):
         u = np.array([[1.0], [0.0]])
         a = np.eye(2)
-        assert objective_l1(u, a, 0.5, 1.0) == pytest.approx(0.25)
-        assert objective_l0(u, a, 0.5, 1.0) == pytest.approx(0.5)
+        assert objective_l1(u, a, 0.5) == pytest.approx(0.25)
+        assert objective_l0(u, a, 0.5) == pytest.approx(0.5)
 
     def test_full_truncation_gives_zero(self, rng):
         a = rng.standard_normal((3, 6))
         u = random_orthonormal_rows(rng, 2, 3).T
         big = 10.0 * gamma_ceiling(a, Penalty.L1)
-        assert objective_l1(u, a, [big, big], [1.0, 1.0]) == 0.0
-        assert objective_l0(u, a, [big**2, big**2], [1.0, 1.0]) == 0.0
+        assert objective_l1(u, a, [big, big]) == 0.0
+        assert objective_l0(u, a, [big**2, big**2]) == 0.0
 
     def test_gamma_zero_trace_identity(self, rng):
         for _ in range(5):
             a = rng.standard_normal((4, 7))
             u = random_orthonormal_rows(rng, 2, 4).T
             want = float(np.trace(u.T @ (a @ a.T) @ u))
-            assert objective_l1(u, a, [0.0, 0.0], [1.0, 1.0]) == pytest.approx(want, rel=1e-12)
-            assert objective_l0(u, a, [0.0, 0.0], [1.0, 1.0]) == pytest.approx(want, rel=1e-12)
+            assert objective_l1(u, a, [0.0, 0.0]) == pytest.approx(want, rel=1e-12)
+            assert objective_l0(u, a, [0.0, 0.0]) == pytest.approx(want, rel=1e-12)
 
 
 class TestGradients:
@@ -73,15 +71,15 @@ class TestGradients:
         a = rng.standard_normal((4, 6))
         u = random_orthonormal_rows(rng, 2, 4).T
         want = 2.0 * (a @ a.T) @ u
-        assert np.allclose(gradient_l1(u, a, [0.0, 0.0], [1.0, 1.0]), want, atol=1e-10)
-        assert np.allclose(gradient_l0(u, a, [0.0, 0.0], [1.0, 1.0]), want, atol=1e-10)
+        assert np.allclose(gradient_l1(u, a, [0.0, 0.0]), want, atol=1e-10)
+        assert np.allclose(gradient_l0(u, a, [0.0, 0.0]), want, atol=1e-10)
 
     def test_clipped_gradient_vanishes(self, rng):
         a = rng.standard_normal((3, 5))
         u = random_orthonormal_rows(rng, 2, 3).T
         big = 10.0 * gamma_ceiling(a, Penalty.L1)
-        assert np.all(gradient_l1(u, a, [big] * 2, [1.0] * 2) == 0.0)
-        assert np.all(gradient_l0(u, a, [big**2] * 2, [1.0] * 2) == 0.0)
+        assert np.all(gradient_l1(u, a, [big] * 2) == 0.0)
+        assert np.all(gradient_l0(u, a, [big**2] * 2) == 0.0)
 
     @pytest.mark.parametrize("penalty", [Penalty.L0, Penalty.L1])
     def test_matches_central_differences(self, penalty):
@@ -109,8 +107,7 @@ class TestGradients:
             if min(margin_kink, margin_clip) < 1e-4:
                 continue
             accepted += 1
-            y = np.ones(m_dim)
-            g = gradient(u, a, gam, y)
+            g = gradient(u, a, gam)
             fd = np.zeros_like(g)
             for r in range(i_dim):
                 for c in range(m_dim):
@@ -118,7 +115,7 @@ class TestGradients:
                     dn = u.copy()
                     up[r, c] += h
                     dn[r, c] -= h
-                    fd[r, c] = (objective(up, a, gam, y) - objective(dn, a, gam, y)) / (2 * h)
+                    fd[r, c] = (objective(up, a, gam) - objective(dn, a, gam)) / (2 * h)
             scale = max(1.0, float(np.abs(g).max()))
             assert np.abs(fd - g).max() <= 1e-5 * scale
 
@@ -170,26 +167,18 @@ class TestSolveGpower:
             solve_gpower(cls.signals, DesignSpec(N=9, M=2, gammas=0.1, penalty=Penalty.L1))
         with pytest.raises(ValueError):
             solve_gpower(cls.signals, DesignSpec(N=8, M=2))
-        with pytest.raises(ValueError):
-            solve_gpower(
-                cls.signals, DesignSpec(N=8, M=2, gammas=0.1, penalty=Penalty.L1), tol=0.0
-            )
 
     def test_init_strategies(self):
         cls = generate_signal_class(4, 9, 1)
         u = initial_u(cls.signals, 2)
         assert np.allclose(u.T @ u, np.eye(2), atol=1e-10)
-        v = initial_u(cls.signals, 2, init="random", seed=5)
-        assert np.allclose(v.T @ v, np.eye(2), atol=1e-10)
-        assert not np.allclose(u, v)
-        with pytest.raises(ValueError):
-            initial_u(cls.signals, 2, init="warmest")
 
     def test_random_init_reaches_same_gamma_zero_objective(self):
         cls = generate_signal_class(5, 10, 2)
         want = top_eigensum(cls.signals, 2)
         spec = DesignSpec(N=10, M=2, penalty=Penalty.L1)
-        state = solve_gpower(cls.signals, spec, init="random", init_seed=11)
+        start = random_orthonormal_rows(np.random.default_rng(11), 2, 5).T
+        state = solve_gpower(cls.signals, spec, init=start)
         assert state.objective == pytest.approx(want, rel=1e-6)
 
 
@@ -232,7 +221,7 @@ class TestSolvePath:
             # one SVD per step, plus one per step that takes the mu U shift
             shifted += counter["svd"] > alone.iterations + alone.degenerate
             assert_same_state(state, alone)
-            assert state.objective == objective(state.U, cls.signals, gamma, spec.y_diag)
+            assert state.objective == objective(state.U, cls.signals, gamma)
         assert shifted > 0
         assert path[-1].degenerate
         assert sum(s.converged for s in path) > 10
@@ -271,7 +260,29 @@ class TestSolvePath:
             solve_path(cls.signals, spec, [[0.1, 0.2, 0.3]])
         with pytest.raises(ValueError):
             solve_path(cls.signals, spec, [0.1, -0.2])
+        with pytest.raises(ValueError):
+            solve_path(cls.signals, spec, [0.1, float("nan")])
         assert solve_path(cls.signals, spec, []) == []
+
+    def test_iteration_cap(self, monkeypatch):
+        # Members that need more steps than _MAX_ITER stop at exactly that
+        # many, neither converged nor degenerate, and each still equals its
+        # solve on its own.
+        monkeypatch.setattr(sparse, "_MAX_ITER", 4)
+        cls = generate_signal_class(6, 14, 3)
+        spec = DesignSpec(N=14, M=6, penalty=Penalty.L1)
+        grid = penalty_gamma_grid(cls.signals, Penalty.L1, 25)[1:15]
+        path = solve_path(cls.signals, spec, grid)
+        assert len(path) == len(grid)
+        for gamma, state in zip(grid, path):
+            assert state.iterations == 4
+            assert not state.converged
+            assert not state.degenerate
+            assert len(state.objective_trace) == 5
+            alone = solve_gpower(
+                cls.signals, DesignSpec(N=14, M=6, gammas=gamma, penalty=Penalty.L1)
+            )
+            assert_same_state(state, alone)
 
     def test_array_start_matches_the_named_start(self):
         cls = generate_signal_class(6, 14, 3)
@@ -315,33 +326,35 @@ class TestSolvePath:
 
 class TestRecovery:
     def test_l1_hand_instance(self):
-        sol = recover_w(np.array([[1.0]]), np.array([[3.0, 1.0]]), 1.0, 1.0, Penalty.L1)
+        sol = recover_w(np.array([[1.0]]), np.array([[3.0, 1.0]]), 1.0, Penalty.L1)
         assert np.allclose(sol.raw_scores, [[2.0, 0.0]])
         assert np.allclose(sol.W.W, [[1.0, 0.0]])
         assert sol.dead_rows == ()
 
     def test_l0_hand_instance(self):
-        sol = recover_w(np.array([[1.0]]), np.array([[3.0, 1.0]]), 2.0, 1.0, Penalty.L0)
+        sol = recover_w(np.array([[1.0]]), np.array([[3.0, 1.0]]), 2.0, Penalty.L0)
         assert np.allclose(sol.raw_scores, [[3.0, 0.0]])
         assert np.allclose(sol.W.W, [[1.0, 0.0]])
 
     def test_dead_row_reported(self):
         # second row couples only to the weak sensor, so gamma kills it
         a = np.array([[3.0, 0.0], [0.0, 0.1]])
-        sol = recover_w(np.eye(2), a, 1.0, 1.0, Penalty.L1)
+        sol = recover_w(np.eye(2), a, 1.0, Penalty.L1)
         assert sol.dead_rows == (1,)
         assert np.allclose(sol.W.W[1], 0.0)
         assert np.linalg.norm(sol.W.W[0]) == pytest.approx(1.0)
 
     def test_all_rows_dead_raises(self):
-        with pytest.raises(AllRowsDead):
-            recover_w(np.array([[1.0]]), np.array([[3.0, 1.0]]), 5.0, 1.0, Penalty.L1)
+        # gamma above every score kills the only row: W is zero, not an error
+        sol = recover_w(np.array([[1.0]]), np.array([[3.0, 1.0]]), 5.0, Penalty.L1)
+        assert sol.dead_rows == (0,)
+        assert np.all(sol.W.W == 0.0)
 
     def test_unit_rows_and_dead_rows_zero(self, rng):
         cls = generate_signal_class(5, 11, 9)
         ceiling = gamma_ceiling(cls.signals, Penalty.L1)
         spec = DesignSpec(N=11, M=3, gammas=0.5 * ceiling, penalty=Penalty.L1)
-        sol = design_sparse(cls.signals, spec, allow_all_dead=True)
+        sol = design_sparse(cls.signals, spec)
         for i in range(3):
             norm = np.linalg.norm(sol.W.W[i])
             if i in sol.dead_rows:
@@ -362,7 +375,7 @@ class TestRecovery:
         cls = generate_signal_class(5, 10, 3)
         gamma = 0.4 * gamma_ceiling(cls.signals, Penalty.L1)
         spec = DesignSpec(N=10, M=3, gammas=gamma, penalty=Penalty.L1)
-        sol = design_sparse(cls.signals, spec, allow_all_dead=True)
+        sol = design_sparse(cls.signals, spec)
         t = cls.signals.T @ sol.U.U
         for i in range(3):
             if i in sol.dead_rows:
@@ -376,7 +389,7 @@ class TestRecovery:
         cls = generate_signal_class(5, 10, 4)
         gamma = (0.4 * gamma_ceiling(cls.signals, Penalty.L1)) ** 2
         spec = DesignSpec(N=10, M=3, gammas=gamma, penalty=Penalty.L0)
-        sol = design_sparse(cls.signals, spec, allow_all_dead=True)
+        sol = design_sparse(cls.signals, spec)
         t = cls.signals.T @ sol.U.U
         for i in range(3):
             if i in sol.dead_rows:
@@ -393,11 +406,8 @@ class TestRecovery:
         ceiling = gamma_ceiling(cls.signals, penalty)
         counts = []
         for gamma in np.linspace(0.0, ceiling, 25):
-            try:
-                sol = recover_w(u, cls.signals, float(gamma), 1.0, penalty)
-                counts.append(int(np.count_nonzero(sol.W.W)))
-            except AllRowsDead:
-                counts.append(0)
+            sol = recover_w(u, cls.signals, float(gamma), penalty)
+            counts.append(int(np.count_nonzero(sol.W.W)))
         assert all(b <= a for a, b in zip(counts, counts[1:]))
 
 
@@ -504,7 +514,7 @@ class TestWarmStartedCalibration:
         cls = generate_signal_class(10, 30, seed)
         spec = DesignSpec(N=30, M=m, penalty=penalty)
         _, _, designs, _ = record_calibration(monkeypatch, cls.signals, spec, target)
-        assert designs[0][0] == "pca"
+        assert designs[0][0] is None
         low, moved = designs[0][1], 0
         for init, sol in designs[1:]:
             assert init.tobytes() == low.U.U.tobytes()
@@ -543,7 +553,7 @@ class TestWarmStartedCalibration:
             w.flat[: 300 - zeros] = 1.0
             sol = sparse.SparseSolution(
                 W=CollaborationMatrix(W=w, provenance=Provenance.SPARSE_L0, spec=spec),
-                U=None, objective=0.0,
+                U=None,
             )
             assert sol.link_miss(0.34) == miss
 
