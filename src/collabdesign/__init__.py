@@ -51,10 +51,8 @@ from .metrics import (
 )
 from .model import (
     DesignSpec,
-    Omega,
     Penalty,
     SignalClass,
-    build_omega,
     generate_signal_class,
 )
 from .persist import (
@@ -92,7 +90,6 @@ __all__ = [
     "MetricsReport",
     "NotDiagonal",
     "NotSymmetric",
-    "Omega",
     "Penalty",
     "Provenance",
     "RankDeficient",
@@ -104,7 +101,6 @@ __all__ = [
     "ZeroSignalClass",
     "active_link_ratio",
     "build_config",
-    "build_omega",
     "calibrate_gamma",
     "calibrated_sparse_design",
     "check_stable_embedding",

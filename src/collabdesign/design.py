@@ -1,10 +1,12 @@
 """Collaboration-matrix construction: the cost-free optimum and baselines.
 
-The cost-free design problem max Tr(W Omega W^T) over orthonormal-row W is
-solved exactly by the M leading eigenvectors of Omega. A diagonal Omega
-admits a shortcut whose off-support columns are provably irrelevant, and a
-random dense W serves as the reference design whose expected C-DC is
-(M/N) sum_i ||s_i||^2.
+The cost-free design problem max Tr(W Omega W^T), Omega = S^T S, over
+orthonormal-row W is solved exactly by the M leading eigenvectors of
+Omega, which are the M leading right singular vectors of the I x N signal
+matrix S; they come from the thin factorization of S, never from an N x N
+decomposition. When the columns of S are mutually orthogonal (Omega
+diagonal) a shortcut picks single sensors, and a random dense W serves as
+the reference design whose expected C-DC is (M/N) sum_i ||s_i||^2.
 """
 from __future__ import annotations
 
@@ -14,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotDiagonal
-from .linalg import row_basis, sym_eig
-from .model import DesignSpec, Omega, Penalty, SignalClass
+from .linalg import _canonicalize_columns, row_basis
+from .metrics import _weights, cumulative_dc
+from .model import DesignSpec, Penalty, SignalClass
 
 
 class Provenance(enum.Enum):
@@ -24,7 +27,6 @@ class Provenance(enum.Enum):
     RANDOM = "random"
     SPARSE_L0 = "sparse_l0"
     SPARSE_L1 = "sparse_l1"
-    USER_SUPPLIED = "user_supplied"
 
 
 @dataclass(frozen=True)
@@ -52,23 +54,43 @@ class CollaborationMatrix:
         return 1.0 - np.count_nonzero(self.W) / self.W.size
 
 
-def design_cost_free(omega: Omega, M: int) -> CollaborationMatrix:
-    """Rows of W are the M leading unit eigenvectors of Omega.
+def _complete_rows(rows: np.ndarray, M: int) -> np.ndarray:
+    """Extend r orthonormal rows to M orthonormal rows, deterministically.
 
-    Achieves C-DC equal to the sum of the M largest eigenvalues, the
-    optimum over all full-row-rank W.
+    Each new row is the unit residual of the coordinate vector e_j that the
+    rows so far cover least (smallest column norm, lowest j on ties),
+    orthogonalized twice. With k rows so far its squared norm is at least
+    (N - k) / N, and the work is O(M^2 N): no N x N matrix is formed.
     """
-    n = omega.dimension
+    while rows.shape[0] < M:
+        j = int(np.argmin(np.einsum("ij,ij->j", rows, rows)))
+        v = -(rows.T @ rows[:, j])
+        v[j] += 1.0
+        v -= rows.T @ (rows @ v)
+        rows = np.vstack([rows, v / np.linalg.norm(v)])
+    return rows
+
+
+def design_cost_free(signal_class: SignalClass, M: int) -> CollaborationMatrix:
+    """Rows of W are the M leading right singular vectors of S.
+
+    These are the M leading unit eigenvectors of Omega = S^T S, so W
+    achieves C-DC equal to the sum of the M largest eigenvalues, the
+    optimum over all full-row-rank W. Each row's first nonzero coordinate
+    is positive. Rows beyond the numerical rank of S span part of its null
+    space (see _complete_rows) and add no C-DC.
+    """
+    n = signal_class.dimension
     if not (1 <= M <= n):
         raise ValueError(f"need 1 <= M <= N={n}, got M={M}")
-    pairs = sym_eig(omega.matrix)
-    w = pairs.top(M).T
+    rows = _complete_rows(row_basis(signal_class.signals)[:M], M)
+    w = _canonicalize_columns(rows.T).T
     spec = DesignSpec(N=n, M=M, penalty=Penalty.NONE)
     return CollaborationMatrix(W=w, provenance=Provenance.PCA, spec=spec)
 
 
-def design_diagonal_shortcut(omega: Omega, M: int) -> CollaborationMatrix:
-    """For diagonal Omega, pick unit rows on the M largest diagonal entries.
+def design_diagonal_shortcut(signal_class: SignalClass, M: int) -> CollaborationMatrix:
+    """For diagonal Omega = S^T S, pick unit rows on its M largest diagonal entries.
 
     Columns outside the nonzero support of the diagonal never influence
     Tr(W Omega W^T), so they are set to zero outright. Ties in the diagonal
@@ -79,10 +101,10 @@ def design_diagonal_shortcut(omega: Omega, M: int) -> CollaborationMatrix:
     NotDiagonal
         If off-diagonal mass exceeds 1e-10 relative to the largest entry.
     """
-    a = omega.matrix
-    n = omega.dimension
+    n = signal_class.dimension
     if not (1 <= M <= n):
         raise ValueError(f"need 1 <= M <= N={n}, got M={M}")
+    a = signal_class.signals.T @ signal_class.signals
     off = a - np.diag(np.diag(a))
     if float(np.abs(off).max()) > 1e-10 * max(1.0, float(np.abs(a).max())):
         raise NotDiagonal("omega has significant off-diagonal mass")
@@ -120,9 +142,8 @@ def check_stable_embedding(
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0,1), got {delta}")
-    mat = np.atleast_2d(np.asarray(getattr(w, "W", w), dtype=float))
+    mat = _weights(w)
     m, n = mat.shape
-    coords = signal_class.signals @ row_basis(mat).T
-    scaled = (n / m) * np.einsum("ij,ij->i", coords, coords)
+    scaled = (n / m) * cumulative_dc(mat, signal_class)[1]
     energy = np.einsum("ij,ij->i", signal_class.signals, signal_class.signals)
     return ((1.0 - delta) * energy <= scaled) & (scaled <= (1.0 + delta) * energy)

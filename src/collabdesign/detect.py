@@ -91,11 +91,11 @@ def simulate_detection(
 
     The matched statistic T = p^T x, p = P_w s, is Gaussian with standard
     deviation sigma ||p|| and mean 0 under H0 and s^T p = ||p||^2 under H1.
-    trials/2 values of T are drawn under each hypothesis, O(trials) work
-    whatever N, and thresholded at the level sigma ||p|| Q^{-1}(pfa) of
-    false-alarm rate pfa. When the statistic is degenerate
-    (P_w s = 0 or W = 0) the calibrated test is a data-independent coin
-    that rejects with probability pfa.
+    The threshold sigma ||p|| Q^{-1}(pfa) has false-alarm rate exactly pfa,
+    so only H1 is simulated: trials/2 values of T, O(trials) work whatever
+    N, and pd is the fraction above the threshold. When the statistic is
+    degenerate (P_w s = 0 or W = 0) the calibrated test is a
+    data-independent coin that rejects with probability pfa.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
@@ -113,9 +113,7 @@ def simulate_detection(
         detect_h1 = rng.random(per_hyp) < pfa
     else:
         # p = P_w s lies in the row span of W, so T = p^T x is a function of
-        # y = W x alone. The H0 draws come first in the seeded stream: the
-        # threshold does not read them, but they fix where the H1 draws sit.
-        rng.standard_normal(per_hyp)
+        # y = W x alone. Only H1 is drawn: the threshold is analytic.
         t_h1 = scale * scale + (sigma * scale) * rng.standard_normal(per_hyp)
         detect_h1 = t_h1 > sigma * scale * _q_tail_inv(pfa)
     pd_hat = float(np.mean(detect_h1))

@@ -30,7 +30,7 @@ from .metrics import (
     cumulative_dc,
     metrics_report,
 )
-from .model import DesignSpec, Penalty, SignalClass, build_omega, generate_signal_class
+from .model import DesignSpec, Penalty, SignalClass, generate_signal_class
 from .runconfig import RunConfig
 from .sparse import SparseSolution, calibrate_gamma, design_path, design_sparse
 
@@ -143,7 +143,7 @@ def run_fig3(config: RunConfig) -> ExperimentTable:
         cell = {}
         for i_val in i_values:
             cls = generate_signal_class(i_val, config.n, seed)
-            cu_opt = cost_of_universality(design_cost_free(build_omega(cls), config.m), cls)
+            cu_opt = cost_of_universality(design_cost_free(cls, config.m), cls)
             cu_pen = {}
             for pen in _SPARSE_PENALTIES:
                 _, sol = calibrated_sparse_design(cls, config.m, pen, target)
@@ -287,10 +287,10 @@ def build_design(config: RunConfig, signal_class: SignalClass, seed) -> tuple:
     method = config.resolved_method()
     extras: dict = {"method": method}
     if method == "pca":
-        w = design_cost_free(build_omega(signal_class), config.m)
+        w = design_cost_free(signal_class, config.m)
         return w, DesignSpec(N=config.n, M=config.m), extras
     if method == "diagonal":
-        w = design_diagonal_shortcut(build_omega(signal_class), config.m)
+        w = design_diagonal_shortcut(signal_class, config.m)
         return w, DesignSpec(N=config.n, M=config.m), extras
     if method == "random":
         spec = DesignSpec(N=config.n, M=config.m)

@@ -1,10 +1,12 @@
-"""Domain types: signal classes, problem dimensions, and Omega.
+"""Domain types: signal classes, problem dimensions and penalties.
 
 The detection problem observes x = s + n (signal present) or x = n
 (noise only), where s is one of I known deterministic signals collected
-row-wise in an I x N matrix S. Omega = S^T S = sum_i s_i s_i^T drives
-every design procedure in the package; its nonzero eigenvalues are those
-of the I x I Gram matrix S S^T, the squared singular values of S.
+row-wise in an I x N matrix S. The paper's design objective is
+Tr(W Omega W^T) with Omega = S^T S = sum_i s_i s_i^T. The package never
+forms Omega to decompose it: its nonzero eigenvalues are those of the
+I x I Gram matrix S S^T, and its leading eigenvectors are the leading
+right singular vectors of S.
 """
 from __future__ import annotations
 
@@ -62,24 +64,6 @@ class SignalClass:
 
 
 @dataclass(frozen=True)
-class Omega:
-    """Symmetric positive-semidefinite N x N matrix sum_i s_i s_i^T."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.matrix, dtype=float)
-        scale = max(1.0, float(np.abs(a).max()))
-        if float(np.abs(a - a.T).max()) > 1e-12 * scale:
-            raise ValueError("Omega must be symmetric")
-        object.__setattr__(self, "matrix", a)
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class DesignSpec:
     """Dimensions and penalty weights for one collaboration design.
 
@@ -114,9 +98,3 @@ def generate_signal_class(I: int, N: int, seed) -> SignalClass:
     rng = np.random.default_rng(seed)
     return SignalClass(signals=rng.standard_normal((I, N)))
 
-
-def build_omega(signal_class: SignalClass) -> Omega:
-    """Form Omega = S^T S, symmetrized."""
-    s = signal_class.signals
-    omega = s.T @ s
-    return Omega(matrix=0.5 * (omega + omega.T))

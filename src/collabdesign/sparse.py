@@ -433,6 +433,12 @@ def calibrate_gamma(
     solved, the closest one found is returned; its miss is
     link_miss(target_deactivation).
 
+    When M equals the rank of A (M = I for a generic class), U is a square
+    orthogonal matrix, and at gamma = 0 every orthogonal U is optimal,
+    because ||A^T U||_F^2 = ||A||_F^2. At small gamma the objective is
+    nearly flat in U, so the ascent crawls there and the scan's solves are
+    the slowest.
+
     Work: at most 2 + B + 200 solves of at most _MAX_ITER = 10_000 steps
     each, where B = min(200, ceil(log2(1e10 gamma_max))) bounds the
     bisection steps (38 at gamma_max = 20).

@@ -17,7 +17,6 @@ from collabdesign import (
     Penalty,
     RunConfig,
     SignalClass,
-    build_omega,
     cumulative_dc,
     design_cost_free,
     design_sparse,
@@ -34,7 +33,7 @@ from collabdesign.sparse import (
     objective_l0,
     objective_l1,
 )
-from conftest import assert_trace_monotone, random_orthonormal_rows
+from conftest import CONFIGS_C9, assert_trace_monotone, random_orthonormal_rows
 
 
 def sampled_cdc(rng, signals: np.ndarray, m: int, draws: int) -> np.ndarray:
@@ -57,9 +56,8 @@ def test_criterion_1_cost_free_design_attains_the_eigenvalue_optimum():
         m = int(rng.integers(1, min(n, 4) + 1))
         i = int(rng.integers(1, 9))
         cls = SignalClass(signals=rng.standard_normal((i, n)))
-        omega = build_omega(cls)
-        cdc, _ = cumulative_dc(design_cost_free(omega, m), cls)
-        target = float(np.sort(np.linalg.eigvalsh(omega.matrix))[::-1][:m].sum())
+        cdc, _ = cumulative_dc(design_cost_free(cls, m), cls)
+        target = float(np.sort(np.linalg.eigvalsh(cls.signals.T @ cls.signals))[::-1][:m].sum())
         worst_rel = max(worst_rel, abs(cdc - target) / target)
         worst_excess = max(worst_excess, float(sampled_cdc(rng, cls.signals, m, 1000).max() - cdc))
     elapsed = time.perf_counter() - start
@@ -93,8 +91,7 @@ def test_criterion_3_zero_penalty_solvers_recover_the_cost_free_optimum():
     worst_ratio = np.inf
     for seed in range(50):
         cls = generate_signal_class(10, 30, seed)
-        omega = build_omega(cls)
-        opt = float(np.sort(np.linalg.eigvalsh(omega.matrix))[::-1][:10].sum())
+        opt = float(np.sort(np.linalg.eigvalsh(cls.signals.T @ cls.signals))[::-1][:10].sum())
         for pen in (Penalty.L0, Penalty.L1):
             spec = DesignSpec(N=30, M=10, gammas=0.0, penalty=pen)
             sol = design_sparse(cls.signals, spec)
@@ -230,8 +227,7 @@ def test_criterion_8_closed_form_and_monte_carlo_detection_agree():
     pfas = (0.01, 0.05, 0.1, 0.2)
     for k in range(19):
         cls = generate_signal_class(4, 12, 100 + k)
-        omega = build_omega(cls)
-        w = design_cost_free(omega, 3)
+        w = design_cost_free(cls, 3)
         results.append(
             simulate_detection(
                 w,
@@ -262,16 +258,7 @@ def test_criterion_8_closed_form_and_monte_carlo_detection_agree():
     )
 
 
-CONFIGS_C9 = {
-    "design": "n = 8\nm = 3\ni = 3\nseeds = 0\nsignal_index = 0\ntrials = 500\n",
-    "fig2": "n = 8\nm = 5\ni = 3\nm_values = 2,5\nseeds = 0,1\n",
-    "fig3": "n = 8\nm = 4\ni = 8\ni_values = 2,4,8\nseeds = 0,1\n",
-    "fig4": "n = 8\nm = 3\ni = 3\ngrid_points = 5\nseeds = 0,1\n",
-    "detect": "n = 8\nm = 3\ni = 3\ntrials = 500\nseeds = 0,1\n",
-}
-
-
-def test_criterion_9_cli_runs_are_byte_identical_even_when_parallel(tmp_path):
+def test_criterion_9_cli_runs_are_byte_identical(tmp_path):
     for verb, text in CONFIGS_C9.items():
         cfg = tmp_path / f"{verb}.cfg"
         cfg.write_text(text)

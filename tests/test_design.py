@@ -6,7 +6,6 @@ from collabdesign import (
     CollaborationMatrix,
     DesignSpec,
     NotDiagonal,
-    Omega,
     Provenance,
     SignalClass,
     check_stable_embedding,
@@ -27,32 +26,46 @@ from conftest import random_orthonormal_rows
 EMBED_WINDOW_PROB = 0.8412421383738714
 
 
-def diag_omega(entries):
-    d = np.asarray(entries, dtype=float)
-    return Omega(matrix=np.diag(d))
+def diag_class(entries):
+    """A class whose Omega = S^T S is diag(entries)."""
+    return SignalClass(np.diag(np.sqrt(np.asarray(entries, dtype=float))))
+
+
+def omega_of(cls):
+    return cls.signals.T @ cls.signals
+
+
+# (signals, M) at the degenerate corners: more rows than signals, a
+# duplicated signal (rank 2), more signals than sensors, and a coordinate
+# vector e_0 inside the signal span, which the completion must not pick.
+_DEGENERATE = {
+    "m_above_i": (np.random.default_rng(11).standard_normal((3, 8)), 5),
+    "coordinate_in_span": (np.array([[2.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]]), 4),
+    "duplicate_signal": (np.random.default_rng(12).standard_normal((2, 6))[[0, 1, 0]], 3),
+    "i_above_n": (np.random.default_rng(13).standard_normal((8, 3)), 3),
+}
 
 
 class TestDesignCostFree:
     def test_diagonal_spectrum(self):
-        w = design_cost_free(diag_omega([3.0, 2.0, 1.0]), 2)
+        cls = diag_class([3.0, 2.0, 1.0])
+        w = design_cost_free(cls, 2)
         assert w.provenance is Provenance.PCA
         b = row_basis(w.W)
         assert np.allclose(b.T @ b, np.diag([1.0, 1.0, 0.0]), atol=1e-10)
-        cls = SignalClass(signals=np.diag([np.sqrt(3.0), np.sqrt(2.0), 1.0]))
         cdc, _ = cumulative_dc(w, cls)
         assert cdc == pytest.approx(5.0, rel=1e-12)
 
     def test_two_signal_eigen_oracle(self):
         cls = SignalClass(signals=np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
-        omega_m = cls.signals.T @ cls.signals
-        w = design_cost_free(Omega(matrix=omega_m), 1)
+        w = design_cost_free(cls, 1)
         cdc, _ = cumulative_dc(w, cls)
         assert cdc == pytest.approx((3.0 + np.sqrt(5.0)) / 2.0, rel=1e-12)
 
     def test_single_signal(self, rng):
         s = rng.standard_normal(7)
         cls = SignalClass(signals=s[None, :])
-        w = design_cost_free(Omega(matrix=np.outer(s, s)), 1)
+        w = design_cost_free(cls, 1)
         assert np.allclose(np.abs(w.W[0]), np.abs(s) / np.linalg.norm(s), atol=1e-12)
         cdc, _ = cumulative_dc(w, cls)
         assert cdc == pytest.approx(float(s @ s), rel=1e-12)
@@ -60,18 +73,16 @@ class TestDesignCostFree:
     def test_achieves_eigenvalue_sum(self, rng):
         for _ in range(10):
             cls = SignalClass(signals=rng.standard_normal((5, 9)))
-            omega_m = cls.signals.T @ cls.signals
-            lam = np.sort(np.linalg.eigvalsh(omega_m))[::-1]
+            lam = np.sort(np.linalg.eigvalsh(omega_of(cls)))[::-1]
             for m in (1, 3, 5):
-                w = design_cost_free(Omega(matrix=omega_m), m)
+                w = design_cost_free(cls, m)
                 cdc, _ = cumulative_dc(w, cls)
                 want = float(np.sum(lam[:m]))
                 assert cdc == pytest.approx(want, rel=1e-8)
 
     def test_never_beaten_by_sampled_stiefel(self, rng):
         cls = SignalClass(signals=rng.standard_normal((4, 8)))
-        omega_m = cls.signals.T @ cls.signals
-        w = design_cost_free(Omega(matrix=omega_m), 2)
+        w = design_cost_free(cls, 2)
         best, _ = cumulative_dc(w, cls)
         for _ in range(300):
             cand = random_orthonormal_rows(rng, 2, 8)
@@ -80,12 +91,10 @@ class TestDesignCostFree:
 
     def test_monotone_in_m_with_eigenvalue_steps(self, rng):
         cls = SignalClass(signals=rng.standard_normal((6, 10)))
-        omega_m = cls.signals.T @ cls.signals
-        lam = np.sort(np.linalg.eigvalsh(omega_m))[::-1]
-        omega = Omega(matrix=omega_m)
+        lam = np.sort(np.linalg.eigvalsh(omega_of(cls)))[::-1]
         prev = 0.0
         for m in range(1, 8):
-            cdc, _ = cumulative_dc(design_cost_free(omega, m), cls)
+            cdc, _ = cumulative_dc(design_cost_free(cls, m), cls)
             step = cdc - prev
             want = float(lam[m - 1]) if m - 1 < lam.size else 0.0
             assert step == pytest.approx(want, rel=1e-8, abs=1e-8)
@@ -101,48 +110,65 @@ class TestDesignCostFree:
                 spec=spec,
             )
 
+    @pytest.mark.parametrize("case", sorted(_DEGENERATE))
+    def test_degenerate_classes(self, case):
+        signals, m = _DEGENERATE[case]
+        cls = SignalClass(signals)
+        w = design_cost_free(cls, m).W
+        assert np.abs(w @ w.T - np.eye(m)).max() <= 1e-12
+        lam = np.sort(np.linalg.eigvalsh(omega_of(cls)))[::-1]
+        cdc, _ = cumulative_dc(w, cls)
+        assert cdc == pytest.approx(float(np.sum(lam[:m])), rel=1e-10)
+        for row in w:
+            first = np.flatnonzero(np.abs(row) > 1e-12 * max(1.0, np.abs(row).max()))[0]
+            assert row[first] > 0.0
+        assert design_cost_free(cls, m).W.tobytes() == w.tobytes()
+
     def test_shape_must_match_spec(self):
         with pytest.raises(ValueError):
             CollaborationMatrix(
-                W=np.eye(3), provenance=Provenance.USER_SUPPLIED, spec=DesignSpec(N=4, M=3)
+                W=np.eye(3), provenance=Provenance.RANDOM, spec=DesignSpec(N=4, M=3)
             )
 
 
 class TestDiagonalShortcut:
     def test_single_row_picks_largest(self):
-        w = design_diagonal_shortcut(diag_omega([5.0, 0.0, 0.0, 2.0]), 1)
+        w = design_diagonal_shortcut(diag_class([5.0, 0.0, 0.0, 2.0]), 1)
         assert np.allclose(w.W, [[1.0, 0.0, 0.0, 0.0]])
 
     def test_two_rows_and_free_block(self):
-        omega = diag_omega([5.0, 0.0, 0.0, 2.0])
-        w = design_diagonal_shortcut(omega, 2)
+        cls = diag_class([5.0, 0.0, 0.0, 2.0])
+        omega = omega_of(cls)
+        w = design_diagonal_shortcut(cls, 2)
         assert np.allclose(sorted(np.argmax(np.abs(w.W), axis=1)), [0, 3])
-        cdc = np.trace(w.W @ omega.matrix @ w.W.T)
+        cdc = np.trace(w.W @ omega @ w.W.T)
         assert cdc == pytest.approx(7.0)
         # entries over the zero-diagonal support do not change the objective
         perturbed = w.W.copy()
         perturbed[:, 1:3] = 0.37
-        assert np.trace(perturbed @ omega.matrix @ perturbed.T) == pytest.approx(7.0)
+        assert np.trace(perturbed @ omega @ perturbed.T) == pytest.approx(7.0)
 
     def test_degenerate_spectrum(self):
-        w = design_diagonal_shortcut(diag_omega([1.0, 1.0]), 2)
+        w = design_diagonal_shortcut(diag_class([1.0, 1.0]), 2)
         cdc = np.trace(w.W @ np.eye(2) @ w.W.T)
         assert cdc == pytest.approx(2.0)
 
     def test_rejects_off_diagonal_mass(self):
-        omega = Omega(matrix=np.array([[1.0, 0.5], [0.5, 1.0]]))
+        # S^T S = [[1, 0.5], [0.5, 1]]
+        cls = SignalClass(np.array([[1.0, 0.5], [0.0, np.sqrt(0.75)]]))
         with pytest.raises(NotDiagonal):
-            design_diagonal_shortcut(omega, 1)
+            design_diagonal_shortcut(cls, 1)
 
     def test_matches_cost_free_on_diagonal(self, rng):
         for _ in range(5):
             d = np.sort(rng.random(6))[::-1] + 0.1
-            omega = diag_omega(d)
+            cls = diag_class(d)
+            omega = omega_of(cls)
             m = int(rng.integers(1, 5))
-            a = design_diagonal_shortcut(omega, m)
-            b = design_cost_free(omega, m)
-            cdc_a = np.trace(a.W @ omega.matrix @ a.W.T)
-            cdc_b = np.trace(b.W @ omega.matrix @ b.W.T)
+            a = design_diagonal_shortcut(cls, m)
+            b = design_cost_free(cls, m)
+            cdc_a = np.trace(a.W @ omega @ a.W.T)
+            cdc_b = np.trace(b.W @ omega @ b.W.T)
             assert cdc_a == pytest.approx(cdc_b, rel=1e-9)
 
 

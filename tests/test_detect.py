@@ -7,7 +7,6 @@ import pytest
 from collabdesign import (
     DetectionResult,
     SignalClass,
-    build_omega,
     design_cost_free,
     generate_signal_class,
     pd_closed_form,
@@ -98,7 +97,7 @@ class TestSimulation:
 
     def test_deterministic_per_seed(self):
         cls = generate_signal_class(3, 8, 0)
-        w = design_cost_free(build_omega(cls), 2)
+        w = design_cost_free(cls, 2)
         a = simulate_detection(w, cls, 1, seed=(4, 2), trials=20_000)
         b = simulate_detection(w, cls, 1, seed=(4, 2), trials=20_000)
         assert a == b
@@ -109,7 +108,7 @@ class TestSimulation:
         # with M >= I the PCA row space contains every signal, so both
         # designs give the same deflection and the same power
         cls = generate_signal_class(3, 10, 5)
-        w_pca = design_cost_free(build_omega(cls), 5)
+        w_pca = design_cost_free(cls, 5)
         for idx in range(cls.count):
             full = simulate_detection(np.eye(10), cls, idx, seed=(idx, 0))
             proj = simulate_detection(w_pca, cls, idx, seed=(idx, 1))
@@ -146,7 +145,7 @@ class TestSimulation:
         simulate_detection(np.zeros((3, n_dim)), cls, 0, trials=trials, seed=1)
         assert sizes and max(sizes) <= trials // 2
 
-    def test_rejects_tiny_trial_counts_and_bad_mode(self):
+    def test_rejects_tiny_trial_counts(self):
         cls = SignalClass(signals=np.array([[1.0, 0.0]]))
         w = np.array([[1.0, 0.0]])
         with pytest.raises(ValueError):

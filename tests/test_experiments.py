@@ -11,7 +11,6 @@ from collabdesign import (
     Penalty,
     RunConfig,
     SignalClass,
-    build_omega,
     cumulative_dc,
     generate_signal_class,
 )
@@ -69,7 +68,7 @@ class TestCurveReadoffs:
         assert max_deactivation_at(self.D, v, 1.5) == 0.0
 
 
-class TestSpanCdc:
+class TestCumulativeDcOfRowSpans:
     def test_matches_projector_on_full_rank_rows(self, rng):
         w = rng.standard_normal((3, 6))
         cls = SignalClass(signals=rng.standard_normal((4, 6)))

@@ -112,7 +112,7 @@ def projector(w):
     return b.T @ b
 
 
-class TestProjectorOf:
+class TestRowBasis:
     def test_identity_rows(self):
         b = row_basis(np.eye(4))
         assert b.shape == (4, 4)

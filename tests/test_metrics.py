@@ -10,7 +10,6 @@ from collabdesign import (
     SignalClass,
     ZeroSignalClass,
     active_link_ratio,
-    build_omega,
     cost_of_collaboration,
     cost_of_universality,
     cumulative_dc,
@@ -40,7 +39,7 @@ class TestCumulativeDC:
     def test_top_eigenvector_hand_value(self):
         # Omega of {(1,0,0),(1,1,0)} has top eigenvalue (3+sqrt(5))/2
         cls = two_signal_class()
-        w = design_cost_free(build_omega(cls), 1)
+        w = design_cost_free(cls, 1)
         cdc, _ = cumulative_dc(w, cls)
         assert cdc == pytest.approx((3.0 + math.sqrt(5.0)) / 2.0, rel=1e-12)
 
@@ -76,16 +75,16 @@ class TestCostOfUniversality:
 
     def test_cost_free_covers_small_class(self, rng):
         cls = SignalClass(signals=rng.standard_normal((4, 12)))
-        w = design_cost_free(build_omega(cls), 6)
+        w = design_cost_free(cls, 6)
         assert cost_of_universality(w, cls) == pytest.approx(1.0, abs=1e-9)
 
     def test_large_class_matches_eigenvalue_ratio(self, rng):
         signals = rng.standard_normal((20, 30))
         cls = SignalClass(signals=signals)
-        omega = build_omega(cls)
-        w = design_cost_free(omega, 10)
-        lam = np.sort(np.linalg.eigvalsh(omega.matrix))[::-1]
-        want = float(np.sum(lam[:10]) / np.trace(omega.matrix))
+        omega = cls.signals.T @ cls.signals
+        w = design_cost_free(cls, 10)
+        lam = np.sort(np.linalg.eigvalsh(omega))[::-1]
+        want = float(np.sum(lam[:10]) / np.trace(omega))
         got = cost_of_universality(w, cls)
         assert got < 1.0
         assert got == pytest.approx(want, rel=1e-9)

@@ -1,13 +1,11 @@
-"""Domain model: signal classes, Omega, design specs."""
+"""Domain model: signal classes, their spectrum, design specs."""
 import numpy as np
 import pytest
 
 from collabdesign import (
     DesignSpec,
-    Omega,
     Penalty,
     SignalClass,
-    build_omega,
     generate_signal_class,
 )
 
@@ -36,28 +34,17 @@ class TestSignalClass:
 
 
 class TestBuildOmega:
-    def test_hand_example(self):
-        # signals (2,1,0) and (1,1,0): Omega = S^T S = [[5,3,0],[3,2,0],[0,0,0]]
-        cls = SignalClass(signals=np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 0.0]]))
-        omega = build_omega(cls)
-        assert np.allclose(omega.matrix, [[5.0, 3.0, 0.0], [3.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
-        assert omega.dimension == 3
+    """SignalClass.spectrum against Omega = S^T S, built inline."""
 
     def test_single_signal_rank_one(self):
         cls = SignalClass(signals=np.array([[1.0, 0.0, 0.0]]))
-        omega = build_omega(cls)
-        assert np.allclose(omega.matrix, np.diag([1.0, 0.0, 0.0]))
         assert np.allclose(cls.spectrum, [1.0])
 
     def test_trace_equals_energy(self, rng):
+        # the eigenvalues of S S^T sum to its trace, the class energy
         for _ in range(10):
             cls = SignalClass(signals=rng.standard_normal((4, 7)))
-            omega = build_omega(cls)
-            assert np.trace(omega.matrix) == pytest.approx(cls.energy, rel=1e-12)
-
-    def test_exactly_symmetric(self, rng):
-        omega = build_omega(SignalClass(signals=rng.standard_normal((6, 9))))
-        assert np.array_equal(omega.matrix, omega.matrix.T)
+            assert np.sum(cls.spectrum) == pytest.approx(cls.energy, rel=1e-12)
 
     def test_rank_bounded_by_count_and_dimension(self, rng):
         for i_dim, n_dim in ((3, 8), (8, 3), (5, 5)):
@@ -70,7 +57,7 @@ class TestBuildOmega:
         # S S^T (I x I) and Omega = S^T S (N x N) share their nonzero eigenvalues
         for i_dim, n_dim in ((3, 8), (8, 3), (5, 5)):
             cls = SignalClass(signals=rng.standard_normal((i_dim, n_dim)))
-            lam = np.sort(np.linalg.eigvalsh(build_omega(cls).matrix))[::-1]
+            lam = np.sort(np.linalg.eigvalsh(cls.signals.T @ cls.signals))[::-1]
             k = min(i_dim, n_dim)
             assert np.allclose(cls.spectrum[:k], lam[:k], rtol=1e-10, atol=1e-10)
             assert np.allclose(cls.spectrum[k:], 0.0, atol=1e-10)
@@ -81,13 +68,9 @@ class TestBuildOmega:
         cls = SignalClass(signals=rng.standard_normal((4, 5)))
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         rotated = SignalClass(signals=cls.signals @ q)
-        lam1 = np.linalg.eigvalsh(build_omega(cls).matrix)
-        lam2 = np.linalg.eigvalsh(build_omega(rotated).matrix)
+        lam1 = np.linalg.eigvalsh(cls.signals.T @ cls.signals)
+        lam2 = np.linalg.eigvalsh(rotated.signals.T @ rotated.signals)
         assert np.allclose(np.sort(lam1), np.sort(lam2), atol=1e-9)
-
-    def test_omega_validates_symmetry(self):
-        with pytest.raises(ValueError):
-            Omega(matrix=np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestGenerateSignalClass:

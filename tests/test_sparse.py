@@ -8,9 +8,11 @@ from collabdesign import (
     DesignSpec,
     Penalty,
     Provenance,
+    RunConfig,
     Unachievable,
     calibrate_gamma,
     cumulative_dc,
+    design_cost_free,
     design_sparse,
     generate_signal_class,
     gradient_l0,
@@ -23,7 +25,7 @@ from collabdesign import (
     solve_gpower,
 )
 from collabdesign import sparse
-from collabdesign.experiments import penalty_gamma_grid
+from collabdesign.experiments import penalty_gamma_grid, run_detect, run_single_design
 from collabdesign.sparse import _batch_size, gamma_ceiling, initial_u, solve_path
 from conftest import assert_trace_monotone, random_orthonormal_rows
 
@@ -168,7 +170,7 @@ class TestSolveGpower:
         with pytest.raises(ValueError):
             solve_gpower(cls.signals, DesignSpec(N=8, M=2))
 
-    def test_init_strategies(self):
+    def test_pca_start_is_orthonormal(self):
         cls = generate_signal_class(4, 9, 1)
         u = initial_u(cls.signals, 2)
         assert np.allclose(u.T @ u, np.eye(2), atol=1e-10)
@@ -284,15 +286,15 @@ class TestSolvePath:
             )
             assert_same_state(state, alone)
 
-    def test_array_start_matches_the_named_start(self):
+    def test_array_start_matches_the_pca_start(self):
         cls = generate_signal_class(6, 14, 3)
         spec = DesignSpec(N=14, M=3, penalty=Penalty.L1)
         grid = penalty_gamma_grid(cls.signals, Penalty.L1, 10)
         start = initial_u(cls.signals, 3)
-        for named, given in zip(
+        for pca, given in zip(
             solve_path(cls.signals, spec, grid), solve_path(cls.signals, spec, grid, init=start)
         ):
-            assert_same_state(given, named)
+            assert_same_state(given, pca)
 
     def test_rejects_malformed_start(self):
         cls = generate_signal_class(6, 14, 3)
@@ -344,7 +346,7 @@ class TestRecovery:
         assert np.allclose(sol.W.W[1], 0.0)
         assert np.linalg.norm(sol.W.W[0]) == pytest.approx(1.0)
 
-    def test_all_rows_dead_raises(self):
+    def test_all_rows_dead_give_a_zero_design(self):
         # gamma above every score kills the only row: W is zero, not an error
         sol = recover_w(np.array([[1.0]]), np.array([[3.0, 1.0]]), 5.0, Penalty.L1)
         assert sol.dead_rows == (0,)
@@ -560,18 +562,24 @@ class TestWarmStartedCalibration:
 
 class TestWorksFromS:
     def test_no_eigendecomposition_larger_than_i_by_i(self, monkeypatch):
-        # Calibrated sparse designs, their metrics and detection need only
-        # the I x I Gram S S^T and thin factorizations of S and W; an N x N
-        # eigendecomposition would cost O(N^3) before every solve.
+        # Cost-free and calibrated sparse designs, their metrics and
+        # detection need only the I x I Gram S S^T and thin factorizations
+        # of S and W; an N x N decomposition would cost O(N^3) per design.
         i_dim, n_dim = 5, 400
-        eigh = np.linalg.eigh
+        eigh, svd = np.linalg.eigh, np.linalg.svd
 
         def small_eigh(a, *args, **kwargs):
             if np.shape(a)[-1] > i_dim:
                 raise AssertionError(f"eigh of a {np.shape(a)} matrix")
             return eigh(a, *args, **kwargs)
 
+        def thin_svd(a, *args, **kwargs):
+            if min(np.shape(a)[-2:]) > i_dim + 2:
+                raise AssertionError(f"svd of a {np.shape(a)} matrix")
+            return svd(a, *args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+        monkeypatch.setattr(np.linalg, "svd", thin_svd)
         cls = generate_signal_class(i_dim, n_dim, 0)
         for penalty in (Penalty.L0, Penalty.L1):
             spec = DesignSpec(N=n_dim, M=i_dim, penalty=penalty)
@@ -580,3 +588,14 @@ class TestWorksFromS:
             assert 0.0 < report.normalized_cdc <= 1.0
             result = simulate_detection(sol.W, cls, 0, trials=1000, seed=(0, 0))
             assert result.deflection_root > 0.0
+        # M above I: the rows past the rank of S are completed without an
+        # N x N factorization too
+        w = design_cost_free(cls, i_dim + 2)
+        assert cumulative_dc(w, cls)[0] == pytest.approx(cls.energy, rel=1e-12)
+        common = {"n": n_dim, "i": i_dim, "trials": 1000, "seeds": (0,)}
+        design = run_single_design(
+            RunConfig(experiment="design", m=i_dim + 2, signal_index=0, **common)
+        )
+        assert design["metrics"]["normalized_cdc"] == pytest.approx(1.0, abs=1e-12)
+        rows = run_detect(RunConfig(experiment="detect", m=i_dim, **common)).rows
+        assert len(rows) == i_dim and all(r["deflection_root"] > 0.0 for r in rows)
