@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .design import (
     CollaborationMatrix,
-    Provenance,
     check_stable_embedding,
     design_cost_free,
     design_diagonal_shortcut,
@@ -91,7 +90,6 @@ __all__ = [
     "NotDiagonal",
     "NotSymmetric",
     "Penalty",
-    "Provenance",
     "RankDeficient",
     "RunConfig",
     "SignalClass",

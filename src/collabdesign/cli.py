@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .detect import DETECTION_COLUMNS
 from .errors import CollabDesignError, ConfigError
 from .experiments import (
     run_detect,
@@ -27,18 +28,6 @@ from .persist import metadata_record, write_csv, write_json, write_matrix_csv
 from .runconfig import RunConfig, _parse_int_list, build_config, load_config
 
 _TABLE_RUNNERS = {"fig2": run_fig2, "fig3": run_fig3, "fig4": run_fig4, "detect": run_detect}
-
-_DETECTION_COLUMNS = (
-    "seed",
-    "signal_index",
-    "pfa",
-    "deflection_root",
-    "pd_closed_form",
-    "pd_monte_carlo",
-    "trials",
-    "ci_half_width",
-)
-
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
@@ -116,11 +105,9 @@ def _run_design_verb(config: RunConfig, quiet: bool) -> None:
     out = Path(config.output_dir)
     _emit(write_matrix_csv(out / "design_w.csv", artifacts["W"]), quiet)
     _emit(write_json(out / "design_metrics.json", artifacts["metrics"]), quiet)
-    if artifacts["detection_rows"] is not None:
-        _emit(
-            write_csv(out / "design_detection.csv", _DETECTION_COLUMNS, artifacts["detection_rows"]),
-            quiet,
-        )
+    rows = artifacts["detection_rows"]
+    if rows is not None:
+        _emit(write_csv(out / "design_detection.csv", DETECTION_COLUMNS, rows), quiet)
     meta = metadata_record(config.as_dict(), __version__, artifacts["summary"])
     _emit(write_json(out / "design.metadata.json", meta), quiet)
 

@@ -10,31 +10,21 @@ the reference design whose expected C-DC is (M/N) sum_i ||s_i||^2.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotDiagonal
 from .linalg import _canonicalize_columns, row_basis
-from .metrics import _weights, cumulative_dc
+from .metrics import _weights, active_link_ratio, cumulative_dc
 from .model import DesignSpec, Penalty, SignalClass
-
-
-class Provenance(enum.Enum):
-    PCA = "pca"
-    DIAGONAL_SHORTCUT = "diagonal_shortcut"
-    RANDOM = "random"
-    SPARSE_L0 = "sparse_l0"
-    SPARSE_L1 = "sparse_l1"
 
 
 @dataclass(frozen=True)
 class CollaborationMatrix:
-    """An M x N combining matrix together with how it was produced."""
+    """An M x N combining matrix with the spec it was designed for."""
 
     W: np.ndarray
-    provenance: Provenance
     spec: DesignSpec
 
     def __post_init__(self) -> None:
@@ -43,15 +33,11 @@ class CollaborationMatrix:
             raise ValueError(
                 f"W has shape {w.shape}, spec says {(self.spec.M, self.spec.N)}"
             )
-        if self.provenance is Provenance.PCA:
-            gram = w @ w.T
-            if float(np.abs(gram - np.eye(w.shape[0])).max()) > 1e-9:
-                raise ValueError("PCA provenance requires orthonormal rows")
         object.__setattr__(self, "W", w)
 
     @property
     def deactivated_ratio(self) -> float:
-        return 1.0 - np.count_nonzero(self.W) / self.W.size
+        return 1.0 - active_link_ratio(self.W)
 
 
 def _complete_rows(rows: np.ndarray, M: int) -> np.ndarray:
@@ -84,9 +70,10 @@ def design_cost_free(signal_class: SignalClass, M: int) -> CollaborationMatrix:
     if not (1 <= M <= n):
         raise ValueError(f"need 1 <= M <= N={n}, got M={M}")
     rows = _complete_rows(row_basis(signal_class.signals)[:M], M)
+    if float(np.abs(rows @ rows.T - np.eye(M)).max()) > 1e-9:
+        raise ValueError("cost-free design requires orthonormal rows")
     w = _canonicalize_columns(rows.T).T
-    spec = DesignSpec(N=n, M=M, penalty=Penalty.NONE)
-    return CollaborationMatrix(W=w, provenance=Provenance.PCA, spec=spec)
+    return CollaborationMatrix(W=w, spec=DesignSpec(N=n, M=M, penalty=Penalty.NONE))
 
 
 def design_diagonal_shortcut(signal_class: SignalClass, M: int) -> CollaborationMatrix:
@@ -113,15 +100,14 @@ def design_diagonal_shortcut(signal_class: SignalClass, M: int) -> Collaboration
     w = np.zeros((M, n))
     for row, j in enumerate(order):
         w[row, j] = 1.0
-    spec = DesignSpec(N=n, M=M, penalty=Penalty.NONE)
-    return CollaborationMatrix(W=w, provenance=Provenance.DIAGONAL_SHORTCUT, spec=spec)
+    return CollaborationMatrix(W=w, spec=DesignSpec(N=n, M=M, penalty=Penalty.NONE))
 
 
 def design_random(spec: DesignSpec, seed) -> CollaborationMatrix:
     """Dense W with i.i.d. standard-normal entries; deterministic per seed."""
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((spec.M, spec.N))
-    return CollaborationMatrix(W=w, provenance=Provenance.RANDOM, spec=spec)
+    return CollaborationMatrix(W=w, spec=spec)
 
 
 def random_baseline_prediction(signal_class: SignalClass, M: int) -> float:

@@ -1,7 +1,8 @@
 """Config-driven reproduction of the reported experiments.
 
-Each run_* function maps a RunConfig to plot-ready rows. Work is split into
-independent per-seed cells, run and aggregated in seed order.
+Each run_* function maps a RunConfig to plot-ready rows. It loops over the
+seeds in order, and the figure runners average the per-seed values of each
+row over the seeds.
 
 Sweeps can request more combining rows than the class has signals (or fewer
 signals than rows). The Stiefel variable caps the solvable row count at
@@ -21,7 +22,7 @@ from .design import (
     design_random,
     random_baseline_prediction,
 )
-from .detect import simulate_detection
+from .detect import DETECTION_COLUMNS, simulate_detection
 from .errors import ConfigError
 from .metrics import (
     _weights,
@@ -32,7 +33,7 @@ from .metrics import (
 )
 from .model import DesignSpec, Penalty, SignalClass, generate_signal_class
 from .runconfig import RunConfig
-from .sparse import SparseSolution, calibrate_gamma, design_path, design_sparse
+from .sparse import SparseSolution, calibrate_gamma, design_path, design_sparse, gamma_ceiling
 
 DEFAULT_DEACTIVATION_TARGET = 0.4
 _SPARSE_PENALTIES = (Penalty.L0, Penalty.L1)
@@ -65,38 +66,57 @@ def calibrated_sparse_design(
     m: int,
     penalty: Penalty,
     target: float,
-) -> tuple[float, SparseSolution]:
-    """Calibrate gamma on the solvable min(m, I)-row block."""
+) -> tuple[float, SparseSolution, float]:
+    """Calibrate gamma on the solvable min(m, I)-row block.
+
+    Returns (gamma, solution, miss): miss is the solution's
+    calibration_miss_links, the distance in links of its count of zero
+    links from the block target (see calibrate_gamma).
+    """
     m_eff = min(m, signal_class.count)
     block_target = effective_row_target(target, m, m_eff)
     spec = DesignSpec(N=signal_class.dimension, M=m_eff, penalty=penalty)
-    return calibrate_gamma(signal_class.signals, spec, block_target)
+    gamma, sol = calibrate_gamma(signal_class.signals, spec, block_target)
+    return gamma, sol, sol.link_miss(block_target)
+
+
+def _deactivation_target(config: RunConfig) -> float:
+    if config.target_deactivation is None:
+        return DEFAULT_DEACTIVATION_TARGET
+    return config.target_deactivation
+
+
+def _seed_mean_table(
+    columns, keys, per_key: dict, target: float, seed_count: int
+) -> ExperimentTable:
+    """One row per entry of keys: the key, then the means over seeds of its value tuples.
+
+    keys is the configured sweep, which may repeat a value; per_key holds
+    the per-seed tuples of each distinct value.
+    """
+    rows = tuple(
+        dict(zip(columns, (key, *map(float, np.mean(per_key[key], axis=0))))) for key in keys
+    )
+    summary = {"target_deactivation": target, "seed_count": seed_count}
+    return ExperimentTable(columns=columns, rows=rows, summary=summary)
 
 
 def run_fig2(config: RunConfig) -> ExperimentTable:
     """Mean C-DC versus the number of combining rows M, one column per method."""
     m_values = config.m_values or tuple(range(2, config.n + 1))
-    target = (
-        DEFAULT_DEACTIVATION_TARGET
-        if config.target_deactivation is None
-        else config.target_deactivation
-    )
-
-    def one_seed(seed: int) -> dict:
+    target = _deactivation_target(config)
+    per_m: dict = {m: [] for m in m_values}
+    for seed in config.seeds:
         cls = generate_signal_class(config.i, config.n, seed)
         lam = cls.spectrum
-        cell: dict = {}
         cache: dict = {}
-        for m in m_values:
-            opt = float(np.sum(lam[:m]))
+        for m in per_m:
             m_eff = min(m, config.i)
-            block_target = effective_row_target(target, m, m_eff)
             sparse_cdc = {}
             for pen in _SPARSE_PENALTIES:
-                key = (m_eff, block_target, pen)
+                key = (m_eff, effective_row_target(target, m, m_eff), pen)
                 if key not in cache:
-                    spec = DesignSpec(N=config.n, M=m_eff, penalty=pen)
-                    _, sol = calibrate_gamma(cls.signals, spec, block_target)
+                    _, sol, _ = calibrated_sparse_design(cls, m, pen, target)
                     cache[key] = cumulative_dc(sol.W, cls)[0]
                 sparse_cdc[pen] = cache[key]
             draws = [
@@ -105,24 +125,15 @@ def run_fig2(config: RunConfig) -> ExperimentTable:
                 )[0]
                 for k in range(config.random_draws)
             ]
-            cell[m] = (
-                opt,
+            per_m[m].append((
+                float(np.sum(lam[:m])),
                 sparse_cdc[Penalty.L0],
                 sparse_cdc[Penalty.L1],
                 float(np.mean(draws)),
                 random_baseline_prediction(cls, m),
-            )
-        return cell
-
-    cells = [one_seed(s) for s in config.seeds]
+            ))
     columns = ("M", "cdc_opt", "cdc_l0", "cdc_l1", "cdc_random", "cdc_random_prediction")
-    rows = []
-    for m in m_values:
-        stacked = np.array([c[m] for c in cells])
-        means = stacked.mean(axis=0)
-        rows.append(dict(zip(columns, (m, *map(float, means)))))
-    summary = {"target_deactivation": target, "seed_count": len(config.seeds)}
-    return ExperimentTable(columns=columns, rows=tuple(rows), summary=summary)
+    return _seed_mean_table(columns, m_values, per_m, target, len(config.seeds))
 
 
 def run_fig3(config: RunConfig) -> ExperimentTable:
@@ -133,33 +144,18 @@ def run_fig3(config: RunConfig) -> ExperimentTable:
     keeps the sweep comparable seedwise.
     """
     i_values = config.i_values or tuple(range(2, config.n + 1))
-    target = (
-        DEFAULT_DEACTIVATION_TARGET
-        if config.target_deactivation is None
-        else config.target_deactivation
-    )
-
-    def one_seed(seed: int) -> dict:
-        cell = {}
-        for i_val in i_values:
+    target = _deactivation_target(config)
+    per_i: dict = {i_val: [] for i_val in i_values}
+    for seed in config.seeds:
+        for i_val in per_i:
             cls = generate_signal_class(i_val, config.n, seed)
-            cu_opt = cost_of_universality(design_cost_free(cls, config.m), cls)
-            cu_pen = {}
+            cu = [cost_of_universality(design_cost_free(cls, config.m), cls)]
             for pen in _SPARSE_PENALTIES:
-                _, sol = calibrated_sparse_design(cls, config.m, pen, target)
-                cu_pen[pen] = cost_of_universality(sol.W, cls)
-            cell[i_val] = (cu_opt, cu_pen[Penalty.L0], cu_pen[Penalty.L1])
-        return cell
-
-    cells = [one_seed(s) for s in config.seeds]
+                _, sol, _ = calibrated_sparse_design(cls, config.m, pen, target)
+                cu.append(cost_of_universality(sol.W, cls))
+            per_i[i_val].append(tuple(cu))
     columns = ("I", "cu_opt", "cu_l0", "cu_l1")
-    rows = []
-    for i_val in i_values:
-        stacked = np.array([c[i_val] for c in cells])
-        means = stacked.mean(axis=0)
-        rows.append(dict(zip(columns, (i_val, *map(float, means)))))
-    summary = {"target_deactivation": target, "seed_count": len(config.seeds)}
-    return ExperimentTable(columns=columns, rows=tuple(rows), summary=summary)
+    return _seed_mean_table(columns, i_values, per_i, target, len(config.seeds))
 
 
 def read_at_deactivation(deactivation, values, target: float = 0.4) -> float:
@@ -193,7 +189,7 @@ def penalty_gamma_grid(signals: np.ndarray, penalty: Penalty, points: int) -> np
     uniform in the score amplitude sqrt(gamma); the soft threshold acts on
     the amplitude directly, so the l1 grid is uniform in gamma.
     """
-    cmax = float(np.linalg.norm(np.asarray(signals, dtype=float), axis=0).max())
+    cmax = gamma_ceiling(signals, Penalty.L1)
     t = np.linspace(0.0, 1.0, points)
     return (t * cmax) ** 2 if penalty is Penalty.L0 else t * cmax
 
@@ -221,11 +217,10 @@ def run_fig4(config: RunConfig) -> ExperimentTable:
     against the cost-free optimum, reported alongside because row spans
     saturate well before the per-row couplings do.
     """
-
-    def one_seed(seed: int) -> dict:
+    curves: dict = {pen: [] for pen in _SPARSE_PENALTIES}
+    for seed in config.seeds:
         cls = generate_signal_class(config.i, config.n, seed)
         opt = float(np.sum(cls.spectrum[: min(config.m, config.i)]))
-        out = {}
         for pen in _SPARSE_PENALTIES:
             grid = penalty_gamma_grid(cls.signals, pen, config.grid_points)
             deact = np.empty(grid.size)
@@ -238,10 +233,7 @@ def run_fig4(config: RunConfig) -> ExperimentTable:
                 span[k] = cumulative_dc(sol.W, cls)[0] / opt
             if native[0] <= 0.0:
                 raise ValueError("degenerate class: zero merit at gamma = 0")
-            out[pen] = (grid, deact, native / native[0], span)
-        return out
-
-    cells = [one_seed(s) for s in config.seeds]
+            curves[pen].append((grid, deact, native / native[0], span))
     columns = (
         "penalty",
         "grid_index",
@@ -253,10 +245,7 @@ def run_fig4(config: RunConfig) -> ExperimentTable:
     rows = []
     summary: dict = {"seed_count": len(config.seeds)}
     for pen in _SPARSE_PENALTIES:
-        gammas = np.mean([c[pen][0] for c in cells], axis=0)
-        deact = np.mean([c[pen][1] for c in cells], axis=0)
-        ncdc = np.mean([c[pen][2] for c in cells], axis=0)
-        span = np.mean([c[pen][3] for c in cells], axis=0)
+        gammas, deact, ncdc, span = np.mean(curves[pen], axis=0)
         for k in range(gammas.size):
             rows.append(
                 {
@@ -298,14 +287,11 @@ def build_design(config: RunConfig, signal_class: SignalClass, seed) -> tuple:
         return design_random(spec, seed=(seed, config.m, 0)), spec, extras
     penalty = Penalty.L0 if method == "l0" else Penalty.L1
     if config.target_deactivation is not None:
-        gamma, sol = calibrated_sparse_design(
+        gamma, sol, miss = calibrated_sparse_design(
             signal_class, config.m, penalty, config.target_deactivation
         )
         extras["calibrated_gamma"] = gamma
-        block_target = effective_row_target(
-            config.target_deactivation, config.m, sol.W.spec.M
-        )
-        extras["calibration_miss_links"] = sol.link_miss(block_target)
+        extras["calibration_miss_links"] = miss
     else:
         gamma = config.gamma if config.gamma is not None else 0.0
         spec = DesignSpec(N=config.n, M=config.m, gammas=gamma, penalty=penalty)
@@ -329,7 +315,25 @@ def _class_for(config: RunConfig, seed) -> SignalClass:
         raise ConfigError(
             f"signals file has {cls.dimension} columns but n={config.n}"
         )
+    if config.signal_index is not None and config.signal_index >= cls.count:
+        raise ConfigError(
+            f"signal_index={config.signal_index} but the signals file holds {cls.count} signals"
+        )
     return cls
+
+
+def _detection_row(config: RunConfig, w, signal_class: SignalClass, seed, index: int) -> dict:
+    """One row of DETECTION_COLUMNS: signal index of the seed's class against w."""
+    result = simulate_detection(
+        w,
+        signal_class,
+        index,
+        sigma=config.sigma,
+        pfa=config.pfa,
+        trials=config.trials,
+        seed=(seed, index),
+    )
+    return {"seed": seed, **result.as_dict()}
 
 
 def run_single_design(config: RunConfig) -> dict:
@@ -338,24 +342,15 @@ def run_single_design(config: RunConfig) -> dict:
     cls = _class_for(config, seed)
     w, spec, extras = build_design(config, cls, seed)
     report = metrics_report(w, cls, spec)
-    artifacts = {
+    detection_rows = None
+    if config.signal_index is not None:
+        detection_rows = [_detection_row(config, w, cls, seed, config.signal_index)]
+    return {
         "W": np.asarray(_weights(w), dtype=float),
         "metrics": report.as_dict(),
         "summary": {**extras, "seed": seed, "cost_of_collaboration": cost_of_collaboration(spec)},
-        "detection_rows": None,
+        "detection_rows": detection_rows,
     }
-    if config.signal_index is not None:
-        result = simulate_detection(
-            w,
-            cls,
-            config.signal_index,
-            sigma=config.sigma,
-            pfa=config.pfa,
-            trials=config.trials,
-            seed=(seed, config.signal_index),
-        )
-        artifacts["detection_rows"] = [{"seed": seed, **result.as_dict()}]
-    return artifacts
 
 
 def run_detect(config: RunConfig) -> ExperimentTable:
@@ -364,45 +359,15 @@ def run_detect(config: RunConfig) -> ExperimentTable:
     For a calibrated sparse design the summary holds the largest
     calibration_miss_links over the seeds.
     """
-    misses = []
-
-    def one_seed(seed: int) -> list[dict]:
+    rows, misses = [], []
+    for seed in config.seeds:
         cls = _class_for(config, seed)
         w, _, extras = build_design(config, cls, seed)
         if "calibration_miss_links" in extras:
             misses.append(extras["calibration_miss_links"])
-        indices = (
-            [config.signal_index]
-            if config.signal_index is not None
-            else list(range(cls.count))
-        )
-        rows = []
-        for idx in indices:
-            result = simulate_detection(
-                w,
-                cls,
-                idx,
-                sigma=config.sigma,
-                pfa=config.pfa,
-                trials=config.trials,
-                seed=(seed, idx),
-            )
-            rows.append({"seed": seed, **result.as_dict()})
-        return rows
-
-    cells = [one_seed(s) for s in config.seeds]
-    rows = [row for cell in cells for row in cell]
-    columns = (
-        "seed",
-        "signal_index",
-        "pfa",
-        "deflection_root",
-        "pd_closed_form",
-        "pd_monte_carlo",
-        "trials",
-        "ci_half_width",
-    )
+        indices = range(cls.count) if config.signal_index is None else (config.signal_index,)
+        rows.extend(_detection_row(config, w, cls, seed, idx) for idx in indices)
     summary = {"trials": config.trials, "sigma": config.sigma, "pfa": config.pfa}
     if misses:
         summary["calibration_miss_links"] = max(misses)
-    return ExperimentTable(columns=columns, rows=tuple(rows), summary=summary)
+    return ExperimentTable(columns=DETECTION_COLUMNS, rows=tuple(rows), summary=summary)

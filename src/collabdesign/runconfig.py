@@ -64,10 +64,25 @@ class RunConfig:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.experiment in ("design", "detect"):
             method = self.resolved_method()
+            if self.penalty is not Penalty.NONE and method != self.penalty.value:
+                raise ConfigError(
+                    f"method {method!r} disagrees with penalty {self.penalty.value!r}"
+                )
+            if method not in ("l0", "l1") and (
+                self.gamma is not None or self.target_deactivation is not None
+            ):
+                raise ConfigError(
+                    f"gamma and target_deactivation need an l0/l1 method, got {method!r}"
+                )
             if method in ("l0", "l1") and self.signals is None and self.m > self.i:
                 raise ConfigError(
                     f"sparse designs need m <= i, got m={self.m}, i={self.i}"
                 )
+            index = self.signal_index
+            if index is not None and index < 0:
+                raise ConfigError(f"signal_index must be nonnegative, got {index}")
+            if index is not None and self.signals is None and index >= self.i:
+                raise ConfigError(f"need signal_index < i={self.i}, got {index}")
         if self.signals is not None and self.experiment not in ("design", "detect"):
             raise ConfigError("signals files apply only to the design/detect experiments")
         if not (0.0 < self.pfa < 1.0):

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import CollaborationMatrix, Provenance
+from .design import CollaborationMatrix
 from .errors import Unachievable
 from .linalg import polar_factor, sym_eig
 from .model import DesignSpec, Penalty
@@ -80,7 +80,7 @@ class SolverState:
 
 @dataclass(frozen=True)
 class SparseSolution:
-    """Recovered sparse design with its provenance and diagnostics."""
+    """Recovered sparse design with its solver state and diagnostics."""
 
     W: CollaborationMatrix
     U: SolverState
@@ -354,9 +354,8 @@ def _build_solution(state: SolverState, A: np.ndarray, spec: DesignSpec) -> Spar
     for i in range(spec.M):
         if norms[i] > 0.0:
             w[i] = z[:, i] / norms[i]
-    provenance = Provenance.SPARSE_L1 if spec.penalty is Penalty.L1 else Provenance.SPARSE_L0
     return SparseSolution(
-        W=CollaborationMatrix(W=w, provenance=provenance, spec=spec),
+        W=CollaborationMatrix(W=w, spec=spec),
         U=state,
         dead_rows=dead,
         raw_scores=z.T,

@@ -203,6 +203,47 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "verb, config_text, extra",
+        [
+            ("design", TINY_DESIGN + "signal_index = 99\n", ()),
+            ("detect", TINY_DETECT + "signal_index = -1\n", ()),
+            ("design", TINY_DESIGN + "method = random\n",
+             ("--penalty", "l1", "--target-deactivation", "0.3")),
+            ("detect", TINY_DETECT + "method = l0\n", ("--penalty", "l1")),
+            ("detect", TINY_DETECT, ("--gamma", "0.4")),
+            ("design", TINY_DESIGN + "method = diagonal\n", ("--target-deactivation", "0.3")),
+        ],
+        ids=[
+            "signal_index_past_the_class",
+            "negative_signal_index",
+            "random_method_with_l1_penalty",
+            "l0_method_with_l1_penalty",
+            "gamma_on_a_pca_design",
+            "target_on_a_diagonal_design",
+        ],
+    )
+    def test_inputs_the_run_would_ignore_or_crash_on_are_usage_errors(
+        self, tmp_path, capsys, verb, config_text, extra
+    ):
+        code, out = run_verb(tmp_path, verb, config_text, *extra)
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
+
+    def test_signal_index_past_the_signals_file_is_usage_error(self, tmp_path, capsys):
+        sig = tmp_path / "sig.csv"
+        rows = np.random.default_rng(5).standard_normal((2, 8))
+        sig.write_text(
+            "\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n"
+        )
+        code, out = run_verb(
+            tmp_path, "design", TINY_DESIGN + "signal_index = 2\n", "--signals", str(sig)
+        )
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -6,7 +6,6 @@ from collabdesign import (
     CollaborationMatrix,
     DesignSpec,
     NotDiagonal,
-    Provenance,
     SignalClass,
     check_stable_embedding,
     cumulative_dc,
@@ -16,6 +15,7 @@ from collabdesign import (
     generate_signal_class,
     random_baseline_prediction,
 )
+from collabdesign import design
 from collabdesign.linalg import row_basis
 from conftest import random_orthonormal_rows
 
@@ -50,7 +50,6 @@ class TestDesignCostFree:
     def test_diagonal_spectrum(self):
         cls = diag_class([3.0, 2.0, 1.0])
         w = design_cost_free(cls, 2)
-        assert w.provenance is Provenance.PCA
         b = row_basis(w.W)
         assert np.allclose(b.T @ b, np.diag([1.0, 1.0, 0.0]), atol=1e-10)
         cdc, _ = cumulative_dc(w, cls)
@@ -101,14 +100,11 @@ class TestDesignCostFree:
             assert cdc >= prev - 1e-9
             prev = cdc
 
-    def test_orthonormal_rows_enforced(self):
-        spec = DesignSpec(N=3, M=2)
+    def test_orthonormal_rows_enforced(self, monkeypatch):
+        rows = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        monkeypatch.setattr(design, "row_basis", lambda signals: rows)
         with pytest.raises(ValueError):
-            CollaborationMatrix(
-                W=np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
-                provenance=Provenance.PCA,
-                spec=spec,
-            )
+            design_cost_free(SignalClass(np.eye(3)), 2)
 
     @pytest.mark.parametrize("case", sorted(_DEGENERATE))
     def test_degenerate_classes(self, case):
@@ -126,9 +122,7 @@ class TestDesignCostFree:
 
     def test_shape_must_match_spec(self):
         with pytest.raises(ValueError):
-            CollaborationMatrix(
-                W=np.eye(3), provenance=Provenance.RANDOM, spec=DesignSpec(N=4, M=3)
-            )
+            CollaborationMatrix(W=np.eye(3), spec=DesignSpec(N=4, M=3))
 
 
 class TestDiagonalShortcut:
@@ -179,7 +173,6 @@ class TestDesignRandom:
         b = design_random(spec, seed=1)
         assert np.array_equal(a.W, b.W)
         assert a.W.shape == (10, 30)
-        assert a.provenance is Provenance.RANDOM
 
     def test_distinct_seeds(self):
         spec = DesignSpec(N=12, M=4)

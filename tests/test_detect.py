@@ -1,19 +1,28 @@
 """Detection operating characteristics: closed form and Monte Carlo."""
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from collabdesign import (
     DetectionResult,
+    RunConfig,
     SignalClass,
+    build_config,
     design_cost_free,
     generate_signal_class,
+    parse_config_text,
     pd_closed_form,
+    run_detect,
+    run_single_design,
     simulate_detection,
 )
+from collabdesign.linalg import row_basis
+from conftest import CONFIGS_C9
 
 Q_INV_005 = 1.6448536269514722  # upper 5 percent point of the standard normal
+NORMAL = NormalDist()
 
 
 def q_tail(x: float) -> float:
@@ -26,11 +35,16 @@ def one_row_design(n: int = 5) -> np.ndarray:
     return w
 
 
+def deflection(w: np.ndarray, s: np.ndarray, sigma: float = 1.0) -> float:
+    """d = ||P_w s|| / sigma."""
+    return float(np.linalg.norm(row_basis(w) @ s)) / sigma
+
+
 class TestClosedForm:
     def test_deflection_three_oracle(self):
         w = one_row_design()
         s = np.array([3.0, 0.0, 0.0, 0.0, 0.0])
-        got = pd_closed_form(w, s, sigma=1.0, pfa=0.05)
+        got = pd_closed_form(deflection(w, s), pfa=0.05)
         want = q_tail(Q_INV_005 - 3.0)
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(0.9123, abs=5e-5)
@@ -39,44 +53,41 @@ class TestClosedForm:
         w = one_row_design()
         s = np.array([0.0, 2.0, 0.0, 0.0, 0.0])
         for pfa in (0.01, 0.05, 0.2):
-            assert pd_closed_form(w, s, 1.0, pfa) == pytest.approx(pfa, abs=1e-12)
+            assert pd_closed_form(deflection(w, s), pfa) == pytest.approx(pfa, abs=1e-12)
 
     def test_vanishing_noise_saturates(self):
         w = one_row_design()
         s = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-        assert pd_closed_form(w, s, sigma=1e-9, pfa=0.05) == pytest.approx(1.0, abs=1e-12)
+        assert pd_closed_form(deflection(w, s, sigma=1e-9), pfa=0.05) == pytest.approx(
+            1.0, abs=1e-12
+        )
 
     def test_parameter_validation(self):
-        w = one_row_design()
-        s = np.ones(5)
         for bad_pfa in (0.0, 1.0, -0.1, 1.3):
             with pytest.raises(ValueError):
-                pd_closed_form(w, s, 1.0, bad_pfa)
-        with pytest.raises(ValueError):
-            pd_closed_form(w, s, 0.0, 0.05)
+                pd_closed_form(1.0, bad_pfa)
+        cls = SignalClass(signals=np.ones((1, 5)))
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            simulate_detection(one_row_design(), cls, 0, sigma=0.0)
 
     def test_monotone_in_deflection(self):
         w = one_row_design()
         values = [
-            pd_closed_form(w, np.array([d, 0.0, 0.0, 0.0, 0.0]), 1.0, 0.05)
+            pd_closed_form(deflection(w, np.array([d, 0.0, 0.0, 0.0, 0.0])), 0.05)
             for d in np.linspace(0.0, 5.0, 21)
         ]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_monotone_in_pfa(self):
-        w = one_row_design()
-        s = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-        values = [pd_closed_form(w, s, 1.0, p) for p in np.linspace(0.01, 0.5, 20)]
+        values = [pd_closed_form(1.0, p) for p in np.linspace(0.01, 0.5, 20)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_higher_deflection_dominates_at_every_pfa(self):
         w = one_row_design()
-        s_strong = np.array([2.0, 0.0, 0.0, 0.0, 0.0])
-        s_weak = np.array([1.0, 1.0, 0.0, 0.0, 0.0])  # projected part is weaker
+        d_strong = deflection(w, np.array([2.0, 0.0, 0.0, 0.0, 0.0]))
+        d_weak = deflection(w, np.array([1.0, 1.0, 0.0, 0.0, 0.0]))  # projected part is weaker
         for pfa in np.linspace(0.01, 0.9, 15):
-            assert pd_closed_form(w, s_strong, 1.0, pfa) >= pd_closed_form(
-                w, s_weak, 1.0, pfa
-            )
+            assert pd_closed_form(d_strong, pfa) >= pd_closed_form(d_weak, pfa)
 
 
 class TestSimulation:
@@ -192,3 +203,48 @@ class TestDetectionResult:
             "trials",
             "ci_half_width",
         ]
+
+
+class TestOneDeflection:
+    """pd_closed_form, deflection_root and the metrics come from one deflection."""
+
+    @pytest.mark.parametrize(
+        "config_text",
+        [CONFIGS_C9["detect"], "n = 30\nm = 3\ni = 5\ntrials = 200\nseeds = 0..19\n"],
+        ids=["frozen_detect_config", "n30_i5_m3_seeds_0_19"],
+    )
+    def test_closed_form_is_the_roc_of_the_reported_deflection(self, config_text):
+        rows = run_detect(build_config("detect", parse_config_text(config_text))).rows
+        design = build_config("design", parse_config_text(CONFIGS_C9["design"]))
+        rows += tuple(run_single_design(design)["detection_rows"])
+        for row in rows:
+            # Q(Q^{-1}(pfa) - d) = Phi(Phi^{-1}(pfa) + d)
+            want = NORMAL.cdf(NORMAL.inv_cdf(row["pfa"]) + row["deflection_root"])
+            assert row["pd_closed_form"] == want, row
+
+    @pytest.mark.parametrize("method", ["pca", "l1"])
+    def test_squared_deflection_is_the_deflection_coefficient(self, method):
+        target = 0.3 if method == "l1" else None
+        for index in range(3):
+            cfg = RunConfig(
+                experiment="design", n=8, m=2, i=3, seeds=(0,), method=method,
+                target_deactivation=target, signal_index=index, sigma=0.5, trials=200,
+            )
+            artifacts = run_single_design(cfg)
+            (row,) = artifacts["detection_rows"]
+            dc = artifacts["metrics"][f"dc_{index}"]
+            assert (0.5 * row["deflection_root"]) ** 2 == pytest.approx(dc, rel=1e-12)
+
+    def test_pca_detect_factors_w_once_per_signal(self, monkeypatch):
+        # One SVD of S for the design, then one of W per simulated signal.
+        i_dim = 5
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        cfg = RunConfig(experiment="detect", n=400, m=i_dim, i=i_dim, seeds=(0,), trials=200)
+        assert len(run_detect(cfg).rows) == i_dim
+        assert len(calls) <= 1 + i_dim, calls

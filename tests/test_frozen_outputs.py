@@ -6,11 +6,17 @@ On that build the regenerated files must match byte for byte. On any other
 build the stacked SVDs and BLAS kernels may round differently, so every
 number is compared at 1e-12 relative instead (1e-14 absolute near zero).
 
-A change that means to alter outputs regenerates the files and says which
-ones changed:
+The verb calls of the benchmark's three workloads (collabbench/workloads.py,
+rebuilt in PLANS below) write files too large to commit, so
+tests/frozen/digests.json holds only their SHA-256 digests. They are
+compared on the recorded build and skipped on any other.
+
+A change that means to alter outputs regenerates the files and the digests
+and says which ones changed:
 
     PYTHONPATH=src python tests/test_frozen_outputs.py
 """
+import hashlib
 import json
 import os
 import shutil
@@ -24,6 +30,51 @@ from collabdesign.cli import main
 from conftest import CONFIGS_C9
 
 FROZEN = Path(__file__).resolve().parent / "frozen"
+DIGESTS = FROZEN / "digests.json"
+
+
+def _wide_signals() -> str:
+    """The wide class, 10 x 800 draws of default_rng(0), one signal per line."""
+    rows = np.random.default_rng(0).standard_normal((10, 800))
+    return "\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n"
+
+
+# The calls of each benchmark workload, for plan seeds 0 and 1 (and class
+# seed 2 of fig4): {input file: its text}, then (output dir, argv) per call.
+_PAPER = "n = 30\nm = 10\ni = 10\n"
+_WIDE = "n = 800\nm = 10\ntrials = 10000\nsigma = 10.0\npfa = 0.05\n"
+PLANS = {
+    "fig4-grid": (
+        {"fig4.cfg": _PAPER + "grid_points = 200\n"},
+        [(f"fig4-s{s}", ["fig4", "--config", "fig4.cfg", "--seeds", str(s)]) for s in (0, 1, 2)],
+    ),
+    "fig2-calibrate": (
+        {"fig2.cfg": _PAPER + "m_values = 6,10,11\n"},
+        [
+            (f"fig2-s{s}", ["fig2", "--config", "fig2.cfg", "--seeds", str(s),
+                            "--target-deactivation", "0.4"])
+            for s in (0, 1)
+        ],
+    ),
+    "wide-class": (
+        {
+            "signals.csv": _wide_signals(),
+            "detect.cfg": _WIDE,
+            **{f"design-s{s}.cfg": _WIDE + f"signal_index = {s}\n" for s in (0, 1)},
+        },
+        [
+            (f"design-{pen}-s{s}", ["design", "--config", f"design-s{s}.cfg", "--signals",
+                                    "signals.csv", "--penalty", pen, "--target-deactivation",
+                                    "0.4", "--seed", str(s)])
+            for s in (0, 1)
+            for pen in ("l0", "l1")
+        ] + [
+            (f"detect-s{s}", ["detect", "--config", "detect.cfg", "--signals", "signals.csv",
+                              "--penalty", "none", "--seed", str(s)])
+            for s in (0, 1)
+        ],
+    ),
+}
 
 
 def build_record() -> dict:
@@ -47,6 +98,25 @@ def write_outputs(verb: str, root: Path) -> Path:
     finally:
         os.chdir(cwd)
     return root / verb
+
+
+def plan_digests(workload: str, root: Path) -> dict:
+    """Run one workload's calls in root; the SHA-256 of every file they write."""
+    inputs, calls = PLANS[workload]
+    cwd = os.getcwd()
+    os.chdir(root)  # relative --out and --signals keep the recorded paths fixed
+    try:
+        for name, text in inputs.items():
+            Path(name).write_text(text)
+        for out, argv in calls:
+            assert main([*argv, "--out", out, "--quiet"]) == 0, out
+    finally:
+        os.chdir(cwd)
+    return {
+        f"{out}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for out, _ in calls
+        for path in sorted((root / out).iterdir())
+    }
 
 
 def _leaves(path: Path) -> list:
@@ -98,6 +168,21 @@ def test_outputs_match_the_frozen_files(verb, tmp_path):
                 assert y == pytest.approx(x, rel=1e-12, abs=1e-14), f"{verb}/{name} {key}"
 
 
+@pytest.mark.parametrize("workload", sorted(PLANS))
+def test_benchmark_plan_digests(workload, tmp_path):
+    recorded = json.loads((FROZEN / "build.json").read_text())
+    if recorded != build_record():
+        pytest.skip(
+            f"digests were recorded on {recorded}; this build is {build_record()}, and "
+            "its stacked SVDs and BLAS kernels may round differently"
+        )
+    want = json.loads(DIGESTS.read_text())[workload]
+    got = plan_digests(workload, tmp_path)
+    assert sorted(got) == sorted(want)
+    changed = sorted(name for name in want if got[name] != want[name])
+    assert not changed, f"{workload}: {changed} changed"
+
+
 def regenerate() -> None:
     """Rewrite tests/frozen/ from this checkout and this build."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -105,6 +190,11 @@ def regenerate() -> None:
             fresh = write_outputs(verb, Path(tmp))
             shutil.rmtree(FROZEN / verb, ignore_errors=True)
             shutil.copytree(fresh, FROZEN / verb)
+    digests = {}
+    for workload in sorted(PLANS):
+        with tempfile.TemporaryDirectory() as tmp:
+            digests[workload] = plan_digests(workload, Path(tmp))
+    DIGESTS.write_text(json.dumps(digests, sort_keys=True, indent=2) + "\n")
     (FROZEN / "build.json").write_text(json.dumps(build_record(), sort_keys=True, indent=2) + "\n")
 
 

@@ -7,7 +7,6 @@ from collabdesign import (
     CollaborationMatrix,
     DesignSpec,
     Penalty,
-    Provenance,
     RunConfig,
     Unachievable,
     calibrate_gamma,
@@ -554,7 +553,7 @@ class TestWarmStartedCalibration:
             w = np.zeros((10, 30))
             w.flat[: 300 - zeros] = 1.0
             sol = sparse.SparseSolution(
-                W=CollaborationMatrix(W=w, provenance=Provenance.SPARSE_L0, spec=spec),
+                W=CollaborationMatrix(W=w, spec=spec),
                 U=None,
             )
             assert sol.link_miss(0.34) == miss
