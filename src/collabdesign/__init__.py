@@ -23,7 +23,6 @@ from .errors import (
     CollabDesignError,
     ConfigError,
     NotDiagonal,
-    NotSymmetric,
     RankDeficient,
     Unachievable,
     ZeroSignalClass,
@@ -39,7 +38,7 @@ from .experiments import (
     run_fig4,
     run_single_design,
 )
-from .linalg import EigenPairs, polar_factor, row_basis, sym_eig
+from .linalg import leading_rows, polar_factor, row_basis
 from .metrics import (
     MetricsReport,
     active_link_ratio,
@@ -84,11 +83,9 @@ __all__ = [
     "ConfigError",
     "DesignSpec",
     "DetectionResult",
-    "EigenPairs",
     "ExperimentTable",
     "MetricsReport",
     "NotDiagonal",
-    "NotSymmetric",
     "Penalty",
     "RankDeficient",
     "RunConfig",
@@ -112,6 +109,7 @@ __all__ = [
     "generate_signal_class",
     "gradient_l0",
     "gradient_l1",
+    "leading_rows",
     "load_config",
     "max_deactivation_at",
     "metrics_report",
@@ -135,7 +133,6 @@ __all__ = [
     "simulate_detection",
     "solve_gpower",
     "solve_path",
-    "sym_eig",
     "write_csv",
     "write_json",
     "write_matrix_csv",

@@ -32,8 +32,9 @@ _TABLE_RUNNERS = {"fig2": run_fig2, "fig3": run_fig3, "fig4": run_fig4, "detect"
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
     parser.add_argument("--out", metavar="DIR", help="output directory (default: out)")
-    parser.add_argument("--seed", type=int, help="single RNG seed")
-    parser.add_argument("--seeds", metavar="LIST", help="seed list, e.g. 0,1,2 or 0..49")
+    seeds = parser.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, help="single RNG seed")
+    seeds.add_argument("--seeds", metavar="LIST", help="seed list, e.g. 0,1,2 or 0..49")
     parser.add_argument("--penalty", choices=["l0", "l1", "none"], help="sparsity penalty")
     parser.add_argument("--gamma", type=float, help="fixed per-row penalty weight")
     parser.add_argument(

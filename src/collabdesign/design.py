@@ -3,10 +3,10 @@
 The cost-free design problem max Tr(W Omega W^T), Omega = S^T S, over
 orthonormal-row W is solved exactly by the M leading eigenvectors of
 Omega, which are the M leading right singular vectors of the I x N signal
-matrix S; they come from the thin factorization of S, never from an N x N
-decomposition. When the columns of S are mutually orthogonal (Omega
-diagonal) a shortcut picks single sensors, and a random dense W serves as
-the reference design whose expected C-DC is (M/N) sum_i ||s_i||^2.
+matrix S; they come from the thin SVD of S (linalg.leading_rows), never
+from an N x N decomposition. When the columns of S are mutually orthogonal
+(Omega diagonal) a shortcut picks single sensors, and a random dense W
+serves as the reference design whose expected C-DC is (M/N) sum_i ||s_i||^2.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotDiagonal
-from .linalg import _canonicalize_columns, row_basis
+from .linalg import leading_rows
 from .metrics import _weights, active_link_ratio, cumulative_dc
 from .model import DesignSpec, Penalty, SignalClass
 
@@ -40,23 +40,6 @@ class CollaborationMatrix:
         return 1.0 - active_link_ratio(self.W)
 
 
-def _complete_rows(rows: np.ndarray, M: int) -> np.ndarray:
-    """Extend r orthonormal rows to M orthonormal rows, deterministically.
-
-    Each new row is the unit residual of the coordinate vector e_j that the
-    rows so far cover least (smallest column norm, lowest j on ties),
-    orthogonalized twice. With k rows so far its squared norm is at least
-    (N - k) / N, and the work is O(M^2 N): no N x N matrix is formed.
-    """
-    while rows.shape[0] < M:
-        j = int(np.argmin(np.einsum("ij,ij->j", rows, rows)))
-        v = -(rows.T @ rows[:, j])
-        v[j] += 1.0
-        v -= rows.T @ (rows @ v)
-        rows = np.vstack([rows, v / np.linalg.norm(v)])
-    return rows
-
-
 def design_cost_free(signal_class: SignalClass, M: int) -> CollaborationMatrix:
     """Rows of W are the M leading right singular vectors of S.
 
@@ -64,15 +47,14 @@ def design_cost_free(signal_class: SignalClass, M: int) -> CollaborationMatrix:
     achieves C-DC equal to the sum of the M largest eigenvalues, the
     optimum over all full-row-rank W. Each row's first nonzero coordinate
     is positive. Rows beyond the numerical rank of S span part of its null
-    space (see _complete_rows) and add no C-DC.
+    space (see linalg.leading_rows) and add no C-DC.
     """
     n = signal_class.dimension
     if not (1 <= M <= n):
         raise ValueError(f"need 1 <= M <= N={n}, got M={M}")
-    rows = _complete_rows(row_basis(signal_class.signals)[:M], M)
-    if float(np.abs(rows @ rows.T - np.eye(M)).max()) > 1e-9:
+    w = leading_rows(signal_class.signals, M)
+    if float(np.abs(w @ w.T - np.eye(M)).max()) > 1e-9:
         raise ValueError("cost-free design requires orthonormal rows")
-    w = _canonicalize_columns(rows.T).T
     return CollaborationMatrix(W=w, spec=DesignSpec(N=n, M=M, penalty=Penalty.NONE))
 
 

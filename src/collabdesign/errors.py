@@ -5,10 +5,6 @@ class CollabDesignError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotSymmetric(CollabDesignError):
-    """Input matrix is not symmetric within tolerance."""
-
-
 class RankDeficient(CollabDesignError):
     """Matrix rank is too low for the requested operation."""
 

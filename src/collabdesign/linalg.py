@@ -1,87 +1,15 @@
 """Dense linear-algebra kernels used by every other module.
 
-Symmetric eigendecomposition with deterministic ordering, the polar factor
-(the Stiefel-manifold projection step of the generalized power method) and
-an orthonormal basis of a row space.
+The polar factor (the Stiefel-manifold projection step of the generalized
+power method), an orthonormal basis of a row space, and the leading right
+singular vectors of a matrix. The thin SVD is the package's only matrix
+factorization: no eigendecomposition runs anywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NotSymmetric, RankDeficient
-
-# Relative eigenvalue gap below which two eigenvalues count as tied.
-TIE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class EigenPairs:
-    """Full spectral decomposition of a symmetric matrix.
-
-    values are sorted descending; column k of vectors is the unit
-    eigenvector belonging to values[k].
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def top(self, m: int) -> np.ndarray:
-        """Return the leading m eigenvectors as columns (N x m)."""
-        return self.vectors[:, :m]
-
-
-def _canonicalize_columns(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its first nonzero coordinate is positive."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))[0]
-        if nz.size and col[nz[0]] < 0:
-            out[:, k] = -col
-    return out
-
-
-def sym_eig(matrix: np.ndarray) -> EigenPairs:
-    """Spectral decomposition with descending eigenvalues.
-
-    Ordering is deterministic even for (near-)degenerate spectra: within a
-    tied group (gap below TIE_TOL relative to the largest magnitude
-    eigenvalue) vectors are sign-canonicalized and sorted by the index of
-    their largest-magnitude coordinate.
-
-    Raises
-    ------
-    NotSymmetric
-        If the input deviates from its transpose by more than 1e-9 relative.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > 1e-9 * scale:
-        raise NotSymmetric("matrix is not symmetric within 1e-9 relative")
-    a = 0.5 * (a + a.T)
-    vals, vecs = np.linalg.eigh(a)
-    order = np.argsort(vals, kind="stable")[::-1]
-    vals = vals[order]
-    vecs = _canonicalize_columns(vecs[:, order])
-    # stable ordering inside tied groups
-    n = vals.size
-    gap_tol = TIE_TOL * max(1.0, float(np.abs(vals).max()))
-    k = 0
-    while k < n:
-        j = k + 1
-        while j < n and abs(vals[j - 1] - vals[j]) <= gap_tol:
-            j += 1
-        if j - k > 1:
-            block = vecs[:, k:j]
-            keys = [int(np.argmax(np.abs(block[:, c]))) for c in range(j - k)]
-            perm = np.argsort(keys, kind="stable")
-            vecs[:, k:j] = block[:, perm]
-        k = j
-    return EigenPairs(values=vals, vectors=vecs)
+from .errors import RankDeficient
 
 
 def polar_factor(g: np.ndarray) -> np.ndarray:
@@ -118,3 +46,27 @@ def row_basis(w: np.ndarray) -> np.ndarray:
     _, sv, vt = np.linalg.svd(alive, full_matrices=False)
     return vt[sv > 1e-12 * sv[0]]
 
+
+def leading_rows(x: np.ndarray, m: int) -> np.ndarray:
+    """The m leading right singular vectors of x, as m orthonormal rows.
+
+    They come from row_basis(x), in descending order of singular value. Rows
+    past the numerical rank of x are completed one at a time: the unit
+    residual of the coordinate vector e_j that the rows so far cover least
+    (smallest column norm, lowest j on ties), orthogonalized twice. With k
+    rows so far its squared norm is at least (n - k) / n, and the work is
+    O(m^2 n): no n x n matrix is formed. Each row's first nonzero
+    coordinate is then made positive. Requires m <= n for an n-column x.
+    """
+    rows = row_basis(x)[:m]
+    while rows.shape[0] < m:
+        j = int(np.argmin(np.einsum("ij,ij->j", rows, rows)))
+        v = -(rows.T @ rows[:, j])
+        v[j] += 1.0
+        v -= rows.T @ (rows @ v)
+        rows = np.vstack([rows, v / np.linalg.norm(v)])
+    for k, row in enumerate(rows):
+        nz = np.nonzero(np.abs(row) > 1e-12 * max(1.0, np.abs(row).max()))[0]
+        if nz.size and row[nz[0]] < 0:
+            rows[k] = -row
+    return rows

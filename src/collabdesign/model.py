@@ -4,9 +4,9 @@ The detection problem observes x = s + n (signal present) or x = n
 (noise only), where s is one of I known deterministic signals collected
 row-wise in an I x N matrix S. The paper's design objective is
 Tr(W Omega W^T) with Omega = S^T S = sum_i s_i s_i^T. The package never
-forms Omega to decompose it: its nonzero eigenvalues are those of the
-I x I Gram matrix S S^T, and its leading eigenvectors are the leading
-right singular vectors of S.
+forms Omega: with the thin SVD S = P Sigma Q^T, its nonzero eigenvalues
+are the squared singular values of S and its leading eigenvectors are the
+leading right singular vectors of S, the rows of Q^T.
 """
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .linalg import sym_eig
 
 
 class Penalty(enum.Enum):
@@ -55,12 +53,14 @@ class SignalClass:
 
     @property
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues of the I x I matrix S S^T, descending.
+        """The I squared singular values of S, descending, zero past min(I, N).
 
-        S S^T and Omega = S^T S share every nonzero eigenvalue, so the sum
-        of the first M entries is the cost-free optimum C-DC for any M.
+        These are the eigenvalues of S S^T, and every nonzero eigenvalue of
+        Omega = S^T S, so the sum of the first M entries is the cost-free
+        optimum C-DC for any M.
         """
-        return sym_eig(self.signals @ self.signals.T).values
+        sv = np.linalg.svd(self.signals, compute_uv=False)
+        return np.pad(sv * sv, (0, self.count - sv.size))
 
 
 @dataclass(frozen=True)

@@ -83,8 +83,17 @@ class RunConfig:
                 raise ConfigError(f"signal_index must be nonnegative, got {index}")
             if index is not None and self.signals is None and index >= self.i:
                 raise ConfigError(f"need signal_index < i={self.i}, got {index}")
-        if self.signals is not None and self.experiment not in ("design", "detect"):
-            raise ConfigError("signals files apply only to the design/detect experiments")
+        else:
+            unread = ["gamma", "method", "signal_index", "signals"]
+            if self.experiment == "fig4":
+                unread.append("target_deactivation")
+            unread = [name for name in unread if getattr(self, name) is not None]
+            if self.penalty is not Penalty.NONE:
+                unread.append("penalty")
+            if unread:
+                raise ConfigError(
+                    f"the {self.experiment} experiment does not read {', '.join(unread)}"
+                )
         if not (0.0 < self.pfa < 1.0):
             raise ConfigError("pfa must lie in (0, 1)")
         if not (0.0 < self.sigma < math.inf):

@@ -42,7 +42,7 @@ import numpy as np
 
 from .design import CollaborationMatrix
 from .errors import Unachievable
-from .linalg import polar_factor, sym_eig
+from .linalg import leading_rows, polar_factor
 from .model import DesignSpec, Penalty
 
 # Relative singular-value floor below which the gradient gets a mu*U shift
@@ -153,16 +153,16 @@ _OBJECTIVES = {Penalty.L1: objective_l1, Penalty.L0: objective_l0}
 
 
 def initial_u(A: np.ndarray, M: int) -> np.ndarray:
-    """The PCA start: the M leading eigenvectors of A A^T.
+    """The PCA start: the M leading left singular vectors of A, as columns.
 
-    With A = P Sigma Q^T and V0 the M leading eigenvectors of
-    Omega = A^T A, A V0 = P_M Sigma_M, so the polar factor of A V0 is P_M:
-    the leading eigenvectors of the I x I matrix A A^T, up to column signs.
-    At gamma = 0 this U is already a fixed point of the iteration, and no
-    N x N matrix is formed.
+    With the thin SVD A = P Sigma Q^T and V0 the leading M columns of Q,
+    A V0 = P_M Sigma_M, so the polar factor of A V0 is P_M: the leading M
+    columns of P, here taken as linalg.leading_rows(A^T, M)^T: each
+    column's first nonzero coordinate is positive, and columns past the
+    rank of A are completed from coordinate vectors. At gamma = 0 this U is
+    already a fixed point of the iteration, and no N x N matrix is formed.
     """
-    Af = np.asarray(A, dtype=float)
-    return sym_eig(Af @ Af.T).top(M)
+    return leading_rows(np.asarray(A, dtype=float).T, M).T
 
 
 def _batch_size(n: int, m: int) -> int:

@@ -25,11 +25,6 @@ def random_orthonormal_rows(rng: np.random.Generator, m: int, n: int) -> np.ndar
     return q.T
 
 
-def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = rng.standard_normal((n, n))
-    return (g + g.T) / 2.0
-
-
 def assert_trace_monotone(trace, slack: float = 1e-12) -> None:
     """Objective traces must never decrease beyond the stated absolute slack."""
     t = np.asarray(trace, dtype=float)

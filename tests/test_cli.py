@@ -6,6 +6,7 @@ import pytest
 
 from collabdesign import __version__
 from collabdesign.cli import main
+from conftest import CONFIGS_C9
 
 TINY_DESIGN = """
 experiment = design
@@ -159,6 +160,20 @@ class TestReproducibility:
             assert snapshots[0] == snapshots[1], f"{verb} rerun differed"
 
 
+class TestOneFactorization:
+    @pytest.mark.parametrize("verb", sorted(CONFIGS_C9))
+    def test_no_eigendecomposition_runs(self, tmp_path, monkeypatch, verb):
+        # every spectral quantity comes from a thin SVD of S or W
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        code, out = run_verb(tmp_path, verb, CONFIGS_C9[verb])
+        assert code == 0
+        assert any(out.iterdir())
+
+
 class TestExitCodes:
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         code = main(["fig2", "--config", str(tmp_path / "nope.cfg"), "--quiet"])
@@ -213,6 +228,12 @@ class TestExitCodes:
             ("detect", TINY_DETECT + "method = l0\n", ("--penalty", "l1")),
             ("detect", TINY_DETECT, ("--gamma", "0.4")),
             ("design", TINY_DESIGN + "method = diagonal\n", ("--target-deactivation", "0.3")),
+            ("fig4", TINY_FIG4, ("--penalty", "l1", "--gamma", "0.3")),
+            ("fig2", TINY_FIG2, ("--gamma", "0.3")),
+            ("fig3", TINY_FIG3, ("--penalty", "l0")),
+            ("fig4", TINY_FIG4 + "signal_index = 5\n", ()),
+            ("fig2", TINY_FIG2 + "method = pca\n", ()),
+            ("fig4", TINY_FIG4, ("--target-deactivation", "0.3")),
         ],
         ids=[
             "signal_index_past_the_class",
@@ -221,6 +242,12 @@ class TestExitCodes:
             "l0_method_with_l1_penalty",
             "gamma_on_a_pca_design",
             "target_on_a_diagonal_design",
+            "penalty_and_gamma_on_fig4",
+            "gamma_on_fig2",
+            "penalty_on_fig3",
+            "signal_index_on_fig4",
+            "method_on_fig2",
+            "target_on_fig4",
         ],
     )
     def test_inputs_the_run_would_ignore_or_crash_on_are_usage_errors(
@@ -243,6 +270,13 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not out.exists()
+
+    def test_seed_and_seeds_together_are_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_verb(tmp_path, "design", TINY_DESIGN, "--seed", "3", "--seeds", "0,1")
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "design_out").exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -102,7 +102,7 @@ class TestDesignCostFree:
 
     def test_orthonormal_rows_enforced(self, monkeypatch):
         rows = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        monkeypatch.setattr(design, "row_basis", lambda signals: rows)
+        monkeypatch.setattr(design, "leading_rows", lambda signals, m: rows)
         with pytest.raises(ValueError):
             design_cost_free(SignalClass(np.eye(3)), 2)
 

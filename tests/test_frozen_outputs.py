@@ -12,7 +12,9 @@ tests/frozen/digests.json holds only their SHA-256 digests. They are
 compared on the recorded build and skipped on any other.
 
 A change that means to alter outputs regenerates the files and the digests
-and says which ones changed:
+and says which ones changed. The script prints each frozen file that
+changed, with the largest relative change of its numbers, and each digest
+that changed:
 
     PYTHONPATH=src python tests/test_frozen_outputs.py
 """
@@ -183,17 +185,46 @@ def test_benchmark_plan_digests(workload, tmp_path):
     assert not changed, f"{workload}: {changed} changed"
 
 
+def _largest_change(old: Path, new: Path) -> str:
+    """The largest relative change between the numbers of two versions of a file."""
+    old_leaves, new_leaves = _leaves(old), _leaves(new)
+    if len(old_leaves) != len(new_leaves):
+        return f"{len(old_leaves)} -> {len(new_leaves)} values"
+    worst = 0.0
+    for (key, a), (_, b) in zip(old_leaves, new_leaves):
+        x, y = _as_number(a), _as_number(b)
+        if x is None or y is None:
+            if a != b:
+                return f"{key}: {a!r} -> {b!r}"
+        elif x != y:
+            worst = max(worst, abs(y - x) / max(abs(x), abs(y)))
+    return f"largest relative change {worst:.2e}"
+
+
 def regenerate() -> None:
-    """Rewrite tests/frozen/ from this checkout and this build."""
+    """Rewrite tests/frozen/ from this checkout and this build; print what changed."""
     with tempfile.TemporaryDirectory() as tmp:
         for verb in sorted(CONFIGS_C9):
-            fresh = write_outputs(verb, Path(tmp))
-            shutil.rmtree(FROZEN / verb, ignore_errors=True)
-            shutil.copytree(fresh, FROZEN / verb)
+            fresh, frozen = write_outputs(verb, Path(tmp)), FROZEN / verb
+            names = {p.name for p in fresh.iterdir()}
+            names |= {p.name for p in frozen.iterdir()} if frozen.exists() else set()
+            for name in sorted(names):
+                old, new = frozen / name, fresh / name
+                if not (old.exists() and new.exists()):
+                    print(f"{verb}/{name}: {'added' if new.exists() else 'removed'}")
+                elif old.read_bytes() != new.read_bytes():
+                    print(f"{verb}/{name}: {_largest_change(old, new)}")
+            shutil.rmtree(frozen, ignore_errors=True)
+            shutil.copytree(fresh, frozen)
+    recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     digests = {}
     for workload in sorted(PLANS):
         with tempfile.TemporaryDirectory() as tmp:
             digests[workload] = plan_digests(workload, Path(tmp))
+        old = recorded.get(workload, {})
+        for key in sorted(set(old) | set(digests[workload])):
+            if old.get(key) != digests[workload].get(key):
+                print(f"digest of {workload} {key} changed")
     DIGESTS.write_text(json.dumps(digests, sort_keys=True, indent=2) + "\n")
     (FROZEN / "build.json").write_text(json.dumps(build_record(), sort_keys=True, indent=2) + "\n")
 

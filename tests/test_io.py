@@ -234,11 +234,11 @@ class TestRunConfig:
         )
 
     def test_as_dict_is_json_friendly(self):
-        cfg = RunConfig(experiment="fig4", penalty=Penalty.L1, seeds=(0, 1))
+        cfg = RunConfig(experiment="design", penalty=Penalty.L1, seeds=(0, 1))
         d = cfg.as_dict()
         assert d["penalty"] == "l1"
         assert d["seeds"] == [0, 1]
-        assert d["experiment"] == "fig4"
+        assert d["experiment"] == "design"
 
 
 class TestBuildConfig:
@@ -248,7 +248,7 @@ class TestBuildConfig:
         assert cfg.n == 30
 
     def test_none_override_keeps_file_value(self):
-        cfg = build_config("fig4", {"gamma": 0.3, "penalty": Penalty.L0}, gamma=None)
+        cfg = build_config("design", {"gamma": 0.3, "penalty": Penalty.L0}, gamma=None)
         assert cfg.gamma == 0.3
 
     def test_experiment_mismatch_rejected(self):

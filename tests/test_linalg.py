@@ -1,71 +1,17 @@
-"""Numeric kernels: eigendecomposition, polar factor, row basis."""
-import math
+"""Numeric kernels: polar factor, row basis, leading right singular vectors."""
 import warnings
 
 import numpy as np
 import pytest
 
 from collabdesign import (
-    NotSymmetric,
     RankDeficient,
+    leading_rows,
     polar_factor,
     row_basis,
-    sym_eig,
 )
-from conftest import random_orthonormal_rows, random_symmetric
-
-GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0  # top eigenvalue of [[2,1],[1,1]]
-
-
-class TestSymEig:
-    def test_two_by_two_hand_values(self):
-        pairs = sym_eig(np.array([[2.0, 1.0], [1.0, 1.0]]))
-        assert pairs.values[0] == pytest.approx(GOLDEN, rel=1e-14)
-        assert pairs.values[1] == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, rel=1e-14)
-
-    def test_diagonal_descending(self):
-        pairs = sym_eig(np.diag([3.0, 2.0, 1.0]))
-        assert np.allclose(pairs.values, [3.0, 2.0, 1.0])
-        # canonical sign: first nonzero coordinate of each vector positive
-        assert np.allclose(np.abs(pairs.vectors), np.eye(3))
-        for k in range(3):
-            col = pairs.vectors[:, k]
-            lead = col[np.nonzero(np.abs(col) > 1e-12)[0][0]]
-            assert lead > 0
-
-    def test_identity_ties_are_deterministic(self):
-        a = sym_eig(np.eye(4))
-        b = sym_eig(np.eye(4))
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.vectors, b.vectors)
-        assert np.allclose(a.values, np.ones(4))
-        assert np.allclose(a.vectors @ a.vectors.T, np.eye(4), atol=1e-12)
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(NotSymmetric):
-            sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(NotSymmetric):
-            sym_eig(np.zeros((2, 3)))
-
-    def test_reconstruction_and_trace(self, rng):
-        for k in range(25):
-            n = int(rng.integers(2, 9))
-            omega = random_symmetric(rng, n)
-            pairs = sym_eig(omega)
-            rebuilt = pairs.vectors @ np.diag(pairs.values) @ pairs.vectors.T
-            assert np.linalg.norm(rebuilt - omega) <= 1e-8 * max(
-                1.0, np.linalg.norm(omega)
-            )
-            assert np.sum(pairs.values) == pytest.approx(np.trace(omega), rel=1e-9, abs=1e-9)
-            assert np.all(np.diff(pairs.values) <= 1e-12)
-
-    def test_top_slices_leading_vectors(self):
-        pairs = sym_eig(np.diag([5.0, 4.0, 1.0]))
-        top = pairs.top(2)
-        assert top.shape == (3, 2)
-        assert np.allclose(np.abs(top), np.eye(3)[:, :2], atol=1e-12)
+from collabdesign.sparse import initial_u
+from conftest import random_orthonormal_rows
 
 
 class TestPolarFactor:
@@ -176,3 +122,53 @@ class TestRowBasis:
         want = w.T @ np.linalg.solve(w @ w.T, w @ s)
         assert np.allclose(b.T @ (b @ s), want, atol=1e-12)
 
+
+
+def assert_canonical_signs(rows):
+    for row in rows:
+        first = np.flatnonzero(np.abs(row) > 1e-12 * max(1.0, np.abs(row).max()))[0]
+        assert row[first] > 0.0
+
+
+class TestLeadingRows:
+    def test_pca_start_holds_the_leading_eigenpairs_of_the_gram(self, rng):
+        # A A^T U = U diag(sigma^2): the columns of U are the leading
+        # eigenvectors of the I x I Gram, although no Gram is formed
+        for i_dim, n_dim, m in ((3, 8, 2), (5, 5, 5), (10, 30, 10), (4, 200, 3)):
+            a = rng.standard_normal((i_dim, n_dim))
+            u = initial_u(a, m)
+            assert u.shape == (i_dim, m)
+            sv = np.linalg.svd(a, compute_uv=False)[:m]
+            residual = a @ (a.T @ u) - u * (sv * sv)
+            assert np.abs(residual).max() <= 1e-12 * sv[0] ** 2
+            assert np.abs(u.T @ u - np.eye(m)).max() <= 1e-12
+
+    def test_rows_have_canonical_signs(self, rng):
+        for _ in range(10):
+            x = rng.standard_normal((4, 9))
+            rows = leading_rows(x, 4)
+            assert_canonical_signs(rows)
+            assert_canonical_signs(initial_u(x, 3).T)
+            # the signs do not depend on the signs of the input
+            assert np.allclose(leading_rows(-x, 4), rows, rtol=0.0, atol=1e-12)
+
+    def test_duplicate_signals_are_completed_past_the_rank(self):
+        # rank 2 with I = 3: the third direction comes from the completion
+        s = np.array([[1.0, 2.0, 0.0, 1.0], [1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 3.0, 0.0]])
+        u = initial_u(s, 3)
+        assert np.abs(u.T @ u - np.eye(3)).max() <= 1e-12
+        # the completed column is orthogonal to the column span of S
+        assert np.abs(u[:, 2] @ s).max() <= 1e-12
+        assert_canonical_signs(u.T)
+        rows = leading_rows(s, 4)
+        assert np.abs(rows @ rows.T - np.eye(4)).max() <= 1e-12
+        assert np.abs(s @ rows[2:].T).max() <= 1e-12
+
+    def test_zero_matrix_gives_coordinate_rows(self):
+        assert np.array_equal(leading_rows(np.zeros((2, 3)), 3), np.eye(3))
+
+    def test_two_calls_are_byte_equal(self, rng):
+        x = rng.standard_normal((6, 11))
+        assert leading_rows(x, 5).tobytes() == leading_rows(x, 5).tobytes()
+        dup = np.vstack([x[:2], x[:2]])
+        assert initial_u(dup, 4).tobytes() == initial_u(dup, 4).tobytes()

@@ -562,8 +562,8 @@ class TestWarmStartedCalibration:
 class TestWorksFromS:
     def test_no_eigendecomposition_larger_than_i_by_i(self, monkeypatch):
         # Cost-free and calibrated sparse designs, their metrics and
-        # detection need only the I x I Gram S S^T and thin factorizations
-        # of S and W; an N x N decomposition would cost O(N^3) per design.
+        # detection need only thin factorizations of S and W; an N x N
+        # decomposition would cost O(N^3) per design.
         i_dim, n_dim = 5, 400
         eigh, svd = np.linalg.eigh, np.linalg.svd
 
