@@ -123,7 +123,6 @@ class TestRowBasis:
         assert np.allclose(b.T @ (b @ s), want, atol=1e-12)
 
 
-
 def assert_canonical_signs(rows):
     for row in rows:
         first = np.flatnonzero(np.abs(row) > 1e-12 * max(1.0, np.abs(row).max()))[0]
